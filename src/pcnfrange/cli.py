@@ -51,6 +51,10 @@ ORACLE_CAP_ENV = "PCNFRANGE_ORACLE_MAX_N"
 DEFAULT_ANALYZE_ORACLE_CAP = 20
 
 
+class UsageError(Exception):
+    """An argument value the command cannot use; exits 64."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 64, not argparse's default 2
         self.print_usage(sys.stderr)
@@ -79,6 +83,13 @@ def _default_oracle_cap() -> int:
         return DEFAULT_ANALYZE_ORACLE_CAP
 
 
+def _check_oracle_cap(cap: int) -> None:
+    if cap > DEFAULT_MAX_VARS:
+        raise UsageError(
+            f"oracle cap {cap} exceeds the ceiling of {DEFAULT_MAX_VARS} variables"
+        )
+
+
 def _parse_variable(spec: str, n: int) -> int:
     """A variable given as a letter (a, b, ...) or a 1-based index."""
     if len(spec) == 1 and spec.isalpha():
@@ -87,9 +98,9 @@ def _parse_variable(spec: str, n: int) -> int:
         try:
             index = int(spec) - 1
         except ValueError:
-            raise ValueError(f"variable {spec!r} is neither a letter nor an index") from None
+            raise UsageError(f"variable {spec!r} is neither a letter nor an index") from None
     if not 0 <= index < n:
-        raise ValueError(f"variable {spec!r} out of range for n={n}")
+        raise UsageError(f"variable {spec!r} out of range for n={n}")
     return index
 
 
@@ -101,6 +112,7 @@ def _parse_witness(spec: str, n: int) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _check_oracle_cap(args.oracle_max_n)
     raw = parse_dimacs(_read(args.file))
     if raw.num_vars == 0:
         raise ValueError("formula declares zero variables")
@@ -134,6 +146,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise UsageError(f"bounds require n >= 1, got {args.n}")
     table = bounds_for(args.n)
     sys.stdout.write(to_json(bounds_to_dict(table)))
     if args.text:
@@ -173,6 +187,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _check_oracle_cap(args.max_n)
     raw = parse_dimacs(_read(args.file))
     try:
         formula, _stats = normalize(raw)
@@ -216,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=_default_oracle_cap(),
         help="run the exhaustive oracle only up to this many variables "
-        f"(default {DEFAULT_ANALYZE_ORACLE_CAP}, or ${ORACLE_CAP_ENV})",
+        f"(default {DEFAULT_ANALYZE_ORACLE_CAP}, or ${ORACLE_CAP_ENV}; "
+        f"at most {DEFAULT_MAX_VARS})",
     )
     p.add_argument(
         "--recount-vars",
@@ -294,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
     except DimacsError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EX_DATAERR

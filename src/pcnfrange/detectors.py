@@ -193,51 +193,23 @@ def clause_class_screen(
     A class hitting its ceiling means every polarity pattern on that
     variable set is present, which no assignment survives.  All saturated
     keys are reported.  With ``early_exit`` the scan stops at the first
-    saturated class (the tables then cover only the clauses seen); the
-    default scans everything first and checks after, and the two modes never
+    saturated class (the tables then cover only the clauses seen, and the
+    class that stopped it is the only saturated one); the two modes never
     disagree on the verdict.
     """
-    if early_exit:
-        counts: dict[int, int] = {}
-        ceilings: dict[int, int] = {}
-        scanned = 0
-        saturated: int | None = None
-        for clause in formula.clauses:
-            scanned += 1
-            occ = clause.occupancy
-            c = counts.get(occ, 0) + 1
-            counts[occ] = c
-            width = occ.bit_count()
-            if width not in ceilings:
-                ceilings[width] = 1 << width
-            if c == ceilings[width]:
-                saturated = occ
-                break
-        table = ClauseClassTable(
-            counts={bit_indices(occ): c for occ, c in counts.items()},
-            ceilings=ceilings,
-            clauses_scanned=scanned,
-        )
-        if saturated is None:
-            return DetectorVerdict(Verdict.UNKNOWN), table
-        reason = Reason(
-            rule="clause_class",
-            class_key=bit_indices(saturated),
-            count=counts[saturated],
-            threshold=ceilings[saturated.bit_count()],
-        )
-        return DetectorVerdict(Verdict.UNSATISFIABLE, (reason,)), table
-
-    mask_counts = Counter(c.pos_mask | c.neg_mask for c in formula.clauses)
-    ceilings = {}
-    for occ in mask_counts:
-        width = occ.bit_count()
-        if width not in ceilings:
-            ceilings[width] = 1 << width
+    counts: dict[int, int] = {}
+    scanned = 0
+    for clause in formula.clauses:
+        scanned += 1
+        occ = clause.pos_mask | clause.neg_mask
+        c = counts[occ] = counts.get(occ, 0) + 1
+        if early_exit and c == 1 << occ.bit_count():
+            break
+    keyed = {bit_indices(occ): c for occ, c in counts.items()}
     table = ClauseClassTable(
-        counts={bit_indices(occ): c for occ, c in mask_counts.items()},
-        ceilings=ceilings,
-        clauses_scanned=len(formula.clauses),
+        counts=keyed,
+        ceilings={len(key): 1 << len(key) for key in keyed},
+        clauses_scanned=scanned,
     )
 
     reasons = tuple(

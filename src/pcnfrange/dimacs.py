@@ -1,7 +1,9 @@
 """DIMACS CNF reading and writing.
 
 The parser accepts comment lines (``c ...``), one ``p cnf <vars> <clauses>``
-header, and zero-terminated clauses (which may span lines or share one).
+header, and zero-terminated clauses (which may span lines or share one).  A
+line starting with ``%`` (the SATLIB trailer) ends the clause section;
+everything after it is ignored.
 Duplicate literals, repeated clauses, tautologies, and empty clauses all
 survive parsing untouched; normalization is a separate, explicit step.  A
 header clause count that disagrees with the clauses actually present is
@@ -59,6 +61,8 @@ def parse_dimacs(text: str | bytes) -> RawCnf:
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
+        if stripped.startswith("%"):
+            break
         if stripped.startswith("p"):
             if num_vars is not None:
                 raise MalformedHeaderError("duplicate header", lineno)

@@ -12,7 +12,7 @@ concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Cap on the variable count of mask-encoded formulas.  Keeps masks inside a
 #: machine word's worth of bits; the counting functions in `bounds` use exact
@@ -225,9 +225,3 @@ class PcnfFormula:
             if not ((assignment & clause.pos_mask) | (~assignment & clause.neg_mask)):
                 return False
         return True
-
-
-def mask_pairs(formula: PcnfFormula | Sequence[Clause]) -> list[tuple[int, int]]:
-    """Extract (pos_mask, neg_mask) pairs, the oracle's working form."""
-    clauses = formula.clauses if isinstance(formula, PcnfFormula) else formula
-    return [(c.pos_mask, c.neg_mask) for c in clauses]

@@ -185,7 +185,8 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        if any(s.counterexamples for s in self.strata):
+        """No counterexample, both bounds attained, and no stratum vacuous."""
+        if any(s.counterexamples or not s.formulas_checked for s in self.strata):
             return False
         t = self.tightness
         b = self.bounds

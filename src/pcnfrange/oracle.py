@@ -1,27 +1,24 @@
 """Exhaustive ground truth: exact model counting over all 2^n assignments.
 
-Two routes to the same answer live here, deliberately:
+There is one route from clauses to models.  `clause_bitmap` turns a clause
+into its 2^n-bit truth table (bit a set iff assignment a satisfies it);
+`model_bitmap` ANDs those tables into the formula's model set, and `solve`
+counts it with ``int.bit_count()``.  No sampling, no heuristics: this is the
+arbiter every verification suite trusts.  Bit-parallel truth tables in the
+style of Knuth, TAOCP 4A §7.1.3.
 
-* `solve` walks the assignment space with the clause check short-circuiting
-  on the first falsified clause.  No sampling, no heuristics; this is the
-  arbiter every verification suite trusts.
-* `model_bitmap` evaluates a whole formula truth-table-at-once: each clause
-  becomes a 2^n-bit satisfaction bitmap and the formula is their AND.  Same
-  exhaustive semantics, orders of magnitude faster for the enumeration
-  campaigns that grind through hundreds of thousands of small formulas.
-
-`naive_model_set` is a third, bitmask-free evaluator kept solely to
-cross-examine the encoding (it interprets literal objects against dicts).
+A truth table costs 2^n bits, so `DEFAULT_MAX_VARS` is a hard ceiling on the
+variable count the oracle accepts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .formula import Assignment, Clause, Literal, PcnfFormula, mask_pairs
+from .formula import Assignment, Clause, Literal, PcnfFormula
 
+#: Ceiling on the oracle's variable count: a truth table of 2^24 bits is 2 MiB.
 DEFAULT_MAX_VARS = 24
 MODEL_RETENTION_CAP = 4
 
@@ -55,31 +52,6 @@ class OracleResult:
         return OracleVerdict.MULTIPLE
 
 
-def count_models(
-    num_vars: int,
-    pairs: Sequence[tuple[int, int]],
-    stop_after: int | None = None,
-) -> int:
-    """Count satisfying assignments of the clauses given as mask pairs.
-
-    The assignment loop is the outer loop; clause evaluation short-circuits
-    on the first falsified clause.  ``stop_after`` stops counting once that
-    many models are found (exact for threshold questions like "is the count
-    at most 1?").
-    """
-    count = 0
-    for a in range(1 << num_vars):
-        na = ~a
-        for pos, neg in pairs:
-            if not ((a & pos) | (na & neg)):
-                break
-        else:
-            count += 1
-            if stop_after is not None and count >= stop_after:
-                return count
-    return count
-
-
 def solve(
     formula: PcnfFormula,
     max_n: int = DEFAULT_MAX_VARS,
@@ -87,72 +59,47 @@ def solve(
 ) -> OracleResult:
     """Exhaustively count the formula's models.
 
-    Raises TooManyVariablesError rather than silently sampling when the
-    formula has more than ``max_n`` variables.
+    Models are retained in ascending order when there are at most
+    ``retention_cap`` of them.  Raises TooManyVariablesError rather than
+    silently sampling when the formula has more than ``max_n`` variables, or
+    more than `DEFAULT_MAX_VARS` whatever ``max_n`` says.
     """
     n = formula.num_vars
-    if n > max_n:
+    cap = min(max_n, DEFAULT_MAX_VARS)
+    if n > cap:
         raise TooManyVariablesError(
-            f"{n} variables exceeds the enumeration cap of {max_n}"
+            f"{n} variables exceeds the enumeration cap of {cap}"
         )
-    pairs = mask_pairs(formula)
-    count = 0
+    bitmap = model_bitmap(n, formula.clauses)
+    count = bitmap.bit_count()
     models: list[Assignment] = []
-    for a in range(1 << n):
-        na = ~a
-        for pos, neg in pairs:
-            if not ((a & pos) | (na & neg)):
-                break
-        else:
-            count += 1
-            if count <= retention_cap:
-                models.append(a)
-    if count > retention_cap:
-        models.clear()
+    if count <= retention_cap:
+        while bitmap:
+            low = bitmap & -bitmap
+            models.append(low.bit_length() - 1)
+            bitmap ^= low
     return OracleResult(model_count=count, models=tuple(models))
-
-
-@lru_cache(maxsize=8)
-def variable_bitmaps(num_vars: int) -> tuple[int, ...]:
-    """bitmap[v] has bit a set iff assignment a sets variable v to True.
-
-    Built by doubling: variable v's truth pattern over the assignment space
-    is 2^v zeros followed by 2^v ones, repeated.
-    """
-    total = 1 << num_vars
-    out = []
-    for v in range(num_vars):
-        block = ((1 << (1 << v)) - 1) << (1 << v)
-        span = 1 << (v + 1)
-        bm = block
-        while span < total:
-            bm |= bm << span
-            span <<= 1
-        out.append(bm)
-    return tuple(out)
 
 
 def clause_bitmap(pos_mask: int, neg_mask: int, num_vars: int) -> int:
     """Bitmap over all 2^n assignments of the assignments satisfying a clause.
 
-    Complements the clause's falsifying subcube: the assignments falsifying
-    it are exactly those fixing every positive variable to False and every
-    negated one to True.
+    Complements the clause's falsifying subcube: the assignments fixing
+    every positive variable to False and every negated one to True.  The
+    subcube is grown one variable at a time over the assignments to
+    variables 0..v: a positive variable keeps it, a negated one moves it to
+    the upper half, an absent one fills both halves.  With both masks empty
+    (an empty clause) the result is 0.
     """
-    vbm = variable_bitmaps(num_vars)
-    full = (1 << (1 << num_vars)) - 1
-    falsified = full
-    m = pos_mask
-    while m:
-        low = m & -m
-        falsified &= ~vbm[low.bit_length() - 1]
-        m ^= low
-    m = neg_mask
-    while m:
-        low = m & -m
-        falsified &= vbm[low.bit_length() - 1]
-        m ^= low
-    return full ^ (falsified & full)
+    falsified = 1
+    absent = ~(pos_mask | neg_mask)
+    for v in range(num_vars):
+        step = 1 << v
+        if neg_mask & step:
+            falsified <<= step
+        elif absent & step:
+            falsified |= falsified << step
+    return ((1 << (1 << num_vars)) - 1) ^ falsified
 
 
 def model_bitmap(num_vars: int, clauses: Iterable[Clause]) -> int:
@@ -170,37 +117,21 @@ def raw_model_bitmap(
 ) -> int:
     """Model bitmap of raw literal clauses.
 
-    Tolerates duplicate literals, tautologies (their bitmap is all-ones),
-    and empty clauses (all-zeros), so it can sit on either side of the
-    normalizer when checking model preservation.
+    Tolerates duplicate literals, tautologies (skipped: every assignment
+    satisfies them), and empty clauses (no assignment does), so it can sit on
+    either side of the normalizer when checking model preservation.
     """
-    vbm = variable_bitmaps(num_vars)
-    full = (1 << (1 << num_vars)) - 1
-    acc = full
+    acc = (1 << (1 << num_vars)) - 1
     for clause in clauses:
-        sat = 0
+        pos = neg = 0
         for lit in clause:
-            bm = vbm[lit.variable]
-            sat |= (full ^ bm) if lit.negated else bm
-        acc &= sat
+            if lit.negated:
+                neg |= 1 << lit.variable
+            else:
+                pos |= 1 << lit.variable
+        if pos & neg:
+            continue
+        acc &= clause_bitmap(pos, neg, num_vars)
         if not acc:
             break
     return acc
-
-
-def naive_model_set(
-    num_vars: int, clauses: Sequence[Sequence[Literal]]
-) -> set[tuple[bool, ...]]:
-    """Bitmask-free reference evaluation, one literal at a time.
-
-    Slow by design; exists to check that the mask encoding is faithful.
-    """
-    models = set()
-    for bits in range(2**num_vars):
-        values = tuple(bool(bits >> v & 1) for v in range(num_vars))
-        if all(
-            any(values[lit.variable] != lit.negated for lit in clause)
-            for clause in clauses
-        ):
-            models.add(values)
-    return models

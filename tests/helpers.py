@@ -1,4 +1,5 @@
-"""Shared test builders: a compact clause DSL and the golden 17-clause formula.
+"""Shared test builders: a compact clause DSL, the golden 17-clause formula,
+and `naive_model_set`, the oracle's independent reference.
 
 ``cl("a ~b c")`` builds a clause from space-separated letters, ``~`` (or
 ``-``) marking negation; ``pf(n, "a, ~b, a b")`` builds a formula from
@@ -7,6 +8,7 @@ comma-separated clauses.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Sequence
 
 from pcnfrange import Clause, Literal, PcnfFormula, RawCnf
 
@@ -50,3 +52,22 @@ GOLDEN_SPEC = (
 
 def golden_formula() -> PcnfFormula:
     return pf(3, GOLDEN_SPEC)
+
+
+def naive_model_set(
+    num_vars: int, clauses: Sequence[Sequence[Literal]]
+) -> set[tuple[bool, ...]]:
+    """Bitmask-free reference evaluation, one literal at a time.
+
+    Slow by design; exists to check that the oracle's mask encoding and
+    truth tables are faithful.
+    """
+    models = set()
+    for bits in range(2**num_vars):
+        values = tuple(bool(bits >> v & 1) for v in range(num_vars))
+        if all(
+            any(values[lit.variable] != lit.negated for lit in clause)
+            for clause in clauses
+        ):
+            models.add(values)
+    return models

@@ -121,7 +121,8 @@ def test_bounds_json(capsys):
 
 def test_bounds_rejects_zero(capsys):
     code, _, err = run(capsys, "bounds", "0")
-    assert code == 65
+    assert code == 64
+    assert "n >= 1" in err
 
 
 def test_normalize_roundtrip(capsys, tmp_path):
@@ -172,6 +173,14 @@ def test_generate_with_witness_and_numeric_flip(capsys):
     assert code == 0
     # witness a=0, b=1, flip b: models {01, 00} keep clauses satisfied by both
     assert "p cnf 2 3\n" in out
+
+
+def test_generate_rejects_unknown_flip_variable(capsys):
+    code, _, err = run(
+        capsys, "generate", "--construction", "double-sat", "--n", "2", "--flip", "z"
+    )
+    assert code == 64
+    assert "out of range" in err
 
 
 def test_generate_rejects_bad_witness(capsys):
@@ -225,6 +234,16 @@ def test_verify_sample_stratum(capsys):
     assert doc["strata"][0]["formulas_checked"] == 200
 
 
+def test_verify_with_no_formulas_checked_fails(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--n", "3", "--mode", "sample", "--count", "0"
+    )
+    doc = json.loads(out)
+    assert code == 70
+    assert doc["ok"] is False
+    assert [s["formulas_checked"] for s in doc["strata"]] == [0, 0]
+
+
 def test_verify_budget_exceeded(capsys):
     code, _, err = run(
         capsys, "verify", "--n", "3", "--mode", "exhaustive", "--budget", "1000"
@@ -238,6 +257,40 @@ def test_oracle_cap_env_var(capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze", str(GOLDEN_CNF))
     assert code == 0
     assert json.loads(out)["oracle"] == {"run": False}
+
+
+def test_oracle_cap_above_ceiling_is_usage_error(capsys, monkeypatch, tmp_path):
+    path = write(tmp_path, "unit.cnf", "p cnf 3 1\n1 0\n")
+    code, _, err = run(capsys, "analyze", path, "--oracle-max-n", "100000")
+    assert code == 64
+    assert "ceiling of 24" in err
+    code, _, err = run(capsys, "solve", path, "--max-n", "25")
+    assert code == 64
+    assert "ceiling of 24" in err
+    monkeypatch.setenv("PCNFRANGE_ORACLE_MAX_N", "25")
+    code, _, err = run(capsys, "analyze", path)
+    assert code == 64
+    assert "ceiling of 24" in err
+
+
+def test_oracle_cap_env_var_non_integer_warns(capsys, monkeypatch):
+    monkeypatch.setenv("PCNFRANGE_ORACLE_MAX_N", "lots")
+    code, out, err = run(capsys, "analyze", str(GOLDEN_CNF))
+    assert code == 20
+    assert "ignoring non-integer" in err
+    assert json.loads(out)["oracle"]["run"] is True
+
+
+def test_analyze_satlib_trailer(capsys, tmp_path):
+    # uf20-91 style: the clauses end at "%", the "0" after it is ignored
+    path = write(
+        tmp_path, "uf.cnf", "c uf-style\np cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n%\n0\n"
+    )
+    code, out, _ = run(capsys, "analyze", path)
+    doc = json.loads(out)
+    assert code == 10
+    assert doc["num_clauses"] == 3
+    assert doc["verdict"] == "satisfiable (oracle)"
 
 
 def test_help_exits_zero(capsys):

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -57,6 +58,19 @@ def test_parse_records_empty_clause():
 def test_parse_warns_on_clause_count_mismatch():
     with pytest.warns(DimacsWarning):
         parse_dimacs("p cnf 1 5\n1 0\n")
+
+
+def test_parse_stops_at_satlib_trailer():
+    # SATLIB's uf20-91 files end in "%" then "0"; neither is a clause
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n\n")
+    assert raw.clauses == (
+        (Literal(0), Literal(1, True)),
+        (Literal(1), Literal(2)),
+    )
+    with pytest.raises(UnterminatedClauseError):
+        parse_dimacs("p cnf 3 1\n1 -2\n%\n0\n")
 
 
 def test_parse_rejects_missing_header():

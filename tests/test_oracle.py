@@ -10,13 +10,12 @@ from pcnfrange import (
     TooManyVariablesError,
     max_sat_construction,
     model_bitmap,
-    naive_model_set,
     sample_pcnf,
     solve,
 )
-from pcnfrange.oracle import clause_bitmap, count_models, variable_bitmaps
+from pcnfrange.oracle import clause_bitmap
 
-from tests.helpers import golden_formula, pf
+from tests.helpers import golden_formula, naive_model_set, pf
 
 
 def test_empty_formula_has_all_models():
@@ -46,6 +45,9 @@ def test_max_sat_construction_has_unique_all_true_model():
 def test_refuses_beyond_cap():
     with pytest.raises(TooManyVariablesError):
         solve(PcnfFormula.from_clauses(25, []), max_n=24)
+    # 24 variables is a hard ceiling: a larger max_n does not lift it
+    with pytest.raises(TooManyVariablesError, match="cap of 24"):
+        solve(PcnfFormula.from_clauses(25, []), max_n=100)
 
 
 def test_models_retained_only_below_cap():
@@ -57,9 +59,12 @@ def test_models_retained_only_below_cap():
     assert r.models == ()
 
 
-def test_variable_bitmaps_small():
+def test_clause_bitmap_small():
     # over assignments 0..3: v0 holds in {1, 3}, v1 in {2, 3}
-    assert variable_bitmaps(2) == (0b1010, 0b1100)
+    assert clause_bitmap(0b01, 0, 2) == 0b1010
+    assert clause_bitmap(0b10, 0, 2) == 0b1100
+    assert clause_bitmap(0, 0b01, 2) == 0b0101
+    assert clause_bitmap(0, 0, 2) == 0  # an empty clause has no model
 
 
 def test_clause_bitmap_matches_direct_evaluation():
@@ -92,12 +97,38 @@ def test_solve_agrees_with_naive_evaluator():
         assert as_tuples == naive
 
 
-def test_model_bitmap_agrees_with_solve():
+def test_model_bitmap_agrees_with_naive_evaluator():
     rng = random.Random(123)
     for _ in range(300):
         n = rng.randint(1, 6)
         f = sample_pcnf(n, rng.randint(0, 3**n - 1), seed=rng.randrange(2**30))
-        assert model_bitmap(n, f.clauses).bit_count() == solve(f).model_count
+        bitmap = model_bitmap(n, f.clauses)
+        as_tuples = {
+            tuple(bool(a >> v & 1) for v in range(n))
+            for a in range(1 << n)
+            if bitmap >> a & 1
+        }
+        assert as_tuples == naive_model_set(n, [c.literals() for c in f.clauses])
+
+
+def test_solve_retains_naive_models_in_ascending_order():
+    rng = random.Random(321)
+    retained = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        # clause counts near f(n) leave few models, so most formulas are kept
+        m = rng.randint(3**n - 2**n - 2 ** (n - 1), 3**n - 1)
+        f = sample_pcnf(n, m, seed=rng.randrange(2**30))
+        result = solve(f)
+        naive = naive_model_set(n, [c.literals() for c in f.clauses])
+        assert result.model_count == len(naive)
+        if result.model_count <= 4:
+            retained += 1
+            expected = sorted(
+                sum(1 << v for v in range(n) if values[v]) for values in naive
+            )
+            assert list(result.models) == expected
+    assert retained > 100
 
 
 @settings(max_examples=200)
@@ -117,7 +148,7 @@ def test_model_count_monotone_under_clause_addition(n, data):
     assert solve(extended).model_count <= base
 
 
-def test_count_models_stop_after():
-    pairs = []
-    assert count_models(3, pairs, stop_after=2) == 2
-    assert count_models(3, pairs) == 8
+def test_solve_at_the_ceiling():
+    # 24 variables, a 2 MiB truth table: x0 and ~x23 leave 2^22 models
+    f = pf(24, "a, ~x")
+    assert solve(f).model_count == 1 << 22

@@ -69,18 +69,23 @@ def _read(path: str) -> str:
         raise DimacsError(f"cannot read {path}: {exc}") from exc
 
 
-def _default_oracle_cap() -> int:
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ANALYZE_ORACLE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        print(
-            f"warning: ignoring non-integer {ORACLE_CAP_ENV}={raw!r}",
-            file=sys.stderr,
-        )
-        return DEFAULT_ANALYZE_ORACLE_CAP
+class _OracleCapFromEnv(str):
+    """Default of ``analyze --oracle-max-n``: argparse applies ``int`` to a
+    string default only when its subcommand runs without the option, so no
+    other subcommand reads the environment."""
+
+    def __int__(self) -> int:
+        raw = os.environ.get(ORACLE_CAP_ENV)
+        if raw is None:
+            return DEFAULT_ANALYZE_ORACLE_CAP
+        try:
+            return int(raw)
+        except ValueError:
+            print(
+                f"warning: ignoring non-integer {ORACLE_CAP_ENV}={raw!r}",
+                file=sys.stderr,
+            )
+            return DEFAULT_ANALYZE_ORACLE_CAP
 
 
 def _check_oracle_cap(cap: int) -> None:
@@ -106,7 +111,7 @@ def _parse_variable(spec: str, n: int) -> int:
 
 def _parse_witness(spec: str, n: int) -> int:
     if len(spec) != n or any(ch not in "01" for ch in spec):
-        raise ValueError(f"witness must be {n} characters of 0/1, got {spec!r}")
+        raise UsageError(f"witness must be {n} characters of 0/1, got {spec!r}")
     # Leftmost character is variable a.
     return sum(1 << i for i, ch in enumerate(spec) if ch == "1")
 
@@ -229,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle-max-n",
         type=int,
-        default=_default_oracle_cap(),
+        default=_OracleCapFromEnv(),
         help="run the exhaustive oracle only up to this many variables "
         f"(default {DEFAULT_ANALYZE_ORACLE_CAP}, or ${ORACLE_CAP_ENV}; "
         f"at most {DEFAULT_MAX_VARS})",

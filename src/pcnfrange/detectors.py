@@ -94,7 +94,6 @@ class ScreenResult:
     num_clauses: int
     bounds: BoundsTable
     range_class: RangeClass
-    census: OccurrenceCensus
     occurrence: DetectorVerdict
     clause_class: DetectorVerdict
     class_table: ClauseClassTable
@@ -129,11 +128,7 @@ def occurrence_census(formula: PcnfFormula) -> OccurrenceCensus:
     )
 
 
-def occurrence_screen(
-    formula: PcnfFormula,
-    n: int | None = None,
-    census: OccurrenceCensus | None = None,
-) -> DetectorVerdict:
+def occurrence_screen(formula: PcnfFormula, n: int | None = None) -> DetectorVerdict:
     """Screen occurrence counts against the v/p/q ceilings.
 
     Fires when a variable occurs more than v(n) times, or when a literal
@@ -143,8 +138,7 @@ def occurrence_screen(
     """
     n = n if n is not None else formula.num_vars
     table = bounds_for(n)
-    if census is None:
-        census = occurrence_census(formula)
+    census = occurrence_census(formula)
     reasons: list[Reason] = []
     for x, total in enumerate(census.variable_counts):
         if total > table.v:
@@ -236,8 +230,7 @@ def screen_all(
     effective_n = n if n is not None else formula.num_vars
     num_clauses = len(formula.clauses)
     range_class, table = classify_count(effective_n, num_clauses)
-    census = occurrence_census(formula)
-    occurrence = occurrence_screen(formula, n=effective_n, census=census)
+    occurrence = occurrence_screen(formula, n=effective_n)
     clause_class, class_table = clause_class_screen(formula, early_exit=early_exit)
 
     reasons: list[Reason] = []
@@ -254,7 +247,6 @@ def screen_all(
         num_clauses=num_clauses,
         bounds=table,
         range_class=range_class,
-        census=census,
         occurrence=occurrence,
         clause_class=clause_class,
         class_table=class_table,

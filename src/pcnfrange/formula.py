@@ -28,8 +28,10 @@ _BIT_INDEX_CACHE: dict[int, tuple[int, ...]] = {}
 def bit_indices(mask: int) -> tuple[int, ...]:
     """Ascending indices of the set bits of ``mask``.
 
-    Memoized: formulas reuse a small pool of masks, and the census and
-    serialization paths call this for every clause.
+    Memoized below 2^16 (at most 65,536 entries): formulas reuse a small pool
+    of masks, and the census and serialization paths call this for every
+    clause.  Wider masks rarely repeat, and caching one costs more than
+    computing it.
     """
     cached = _BIT_INDEX_CACHE.get(mask)
     if cached is not None:
@@ -41,7 +43,8 @@ def bit_indices(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         m ^= low
     result = tuple(out)
-    _BIT_INDEX_CACHE[mask] = result
+    if mask < 1 << 16:
+        _BIT_INDEX_CACHE[mask] = result
     return result
 
 

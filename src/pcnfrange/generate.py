@@ -227,12 +227,61 @@ def _strata_ranges(
     return out
 
 
-def _check_bitmap(stratum: str, acc: int) -> bool:
-    # A stratum claim holds for a formula with satisfying-assignment bitmap
-    # acc when: beyond_f -> no models; natural_range -> at most one.
-    if stratum == "beyond_f":
-        return acc == 0
-    return acc.bit_count() <= 1
+#: The most models a formula in each stratum may have: none beyond f, at
+#: most one in the natural range.
+_MODEL_CEILING = {"natural_range": 1, "beyond_f": 0}
+
+
+class _Bitmaps(dict):
+    """Clause bitmaps by universe index, each built on first lookup."""
+
+    def __init__(self, universe, n):
+        self.universe, self.n = universe, n
+
+    def __missing__(self, i):
+        c = self.universe[i]
+        bm = self[i] = clause_bitmap(c.pos_mask, c.neg_mask, self.n)
+        return bm
+
+
+class _Draw:
+    """A sampled formula: iterating it yields its clause bitmaps, built on
+    first use, so a formula whose models run out early builds no more."""
+
+    __slots__ = ("indices", "bitmaps")
+
+    def __init__(self, indices, bitmaps):
+        self.indices, self.bitmaps = indices, bitmaps
+
+    def __iter__(self):
+        return map(self.bitmaps.__getitem__, self.indices)
+
+
+def _campaign(bitmaps, ranges, mode, sample_count, seed, budget):
+    # Yields (stratum, clause count, formulas) in campaign order, each formula
+    # an iterable of clause bitmaps.  Exhaustive mode builds every bitmap
+    # up front; sampling builds them as the formulas are read.
+    m = len(bitmaps.universe)
+    if mode is VerifyMode.EXHAUSTIVE:
+        total = sum(comb(m, size) for _, lo, hi in ranges for size in range(lo, hi + 1))
+        if total > budget:
+            raise BudgetExceededError(
+                f"exhaustive campaign would check {total} formulas "
+                f"(budget {budget}); raise the budget to opt in"
+            )
+        row = [bitmaps[i] for i in range(m)]
+        for name, lo, hi in ranges:
+            for size in range(lo, hi + 1):
+                yield name, size, itertools.combinations(row, size)
+        return
+    rng = random.Random(seed)
+    lo = min(r[1] for r in ranges)
+    hi = max(r[2] for r in ranges)
+    for _ in range(sample_count):
+        size = rng.randint(lo, hi)
+        draw = _Draw(_sample_indices(rng, m, size), bitmaps)
+        name = next(nm for nm, rlo, rhi in ranges if rlo <= size <= rhi)
+        yield name, size, (draw,)
 
 
 def verify_bounds(
@@ -262,113 +311,54 @@ def verify_bounds(
         raise ValueError("no strata selected")
 
     full = (1 << (1 << n)) - 1
-
-    strata_reports: list[StratumReport] = []
-    if mode is VerifyMode.EXHAUSTIVE:
-        total = sum(
-            comb(table.m, size)
-            for _, lo, hi in ranges
-            for size in range(lo, hi + 1)
-        )
-        if total > budget:
-            raise BudgetExceededError(
-                f"exhaustive campaign would check {total} formulas "
-                f"(budget {budget}); raise the budget to opt in"
-            )
-        bitmaps = [clause_bitmap(c.pos_mask, c.neg_mask, n) for c in universe]
-        # distinct clauses have distinct falsifying subcubes, hence bitmaps
-        index_of = {bm: i for i, bm in enumerate(bitmaps)}
-        for name, lo, hi in ranges:
-            checked = 0
-            max_models = 0
-            counterexamples: list[Counterexample] = []
-            for size in range(lo, hi + 1):
-                for combo in itertools.combinations(bitmaps, size):
-                    acc = full
-                    for bm in combo:
-                        acc &= bm
-                        if not acc:
-                            break
-                    checked += 1
-                    if acc:
-                        models = acc.bit_count()
-                        if models > max_models:
-                            max_models = models
-                        if not _check_bitmap(name, acc):
-                            counterexamples.append(
-                                Counterexample(
-                                    stratum=name,
-                                    num_clauses=size,
-                                    clause_indices=tuple(
-                                        index_of[bm] for bm in combo
-                                    ),
-                                    model_count=models,
-                                )
-                            )
-            strata_reports.append(
-                StratumReport(
-                    name=name,
-                    clause_count_lo=lo,
-                    clause_count_hi=hi,
-                    formulas_checked=checked,
-                    max_models_seen=max_models,
-                    counterexamples=tuple(counterexamples),
-                )
-            )
-    else:
-        rng = random.Random(seed)
-        lo = min(r[1] for r in ranges)
-        hi = max(r[2] for r in ranges)
-        lazy_bitmaps: list[int | None] = [None] * len(universe)
-        tallies = {
-            name: [0, 0, []] for name, _, _ in ranges
-        }  # checked, max models, counterexamples
-        for _ in range(sample_count):
-            size = rng.randint(lo, hi)
-            indices = _sample_indices(rng, table.m, size)
-            name = next(
-                nm for nm, rlo, rhi in ranges if rlo <= size <= rhi
-            )
+    bitmaps = _Bitmaps(universe, n)
+    # per stratum: formulas checked, most models seen, counterexamples
+    tallies = {name: [0, 0, []] for name, _, _ in ranges}
+    campaign = _campaign(bitmaps, ranges, mode, sample_count, seed, budget)
+    for name, size, formulas in campaign:
+        ceiling = _MODEL_CEILING[name]
+        tally = tallies[name]
+        checked = max_models = 0
+        for checked, formula in enumerate(formulas, 1):
             acc = full
-            for i in indices:
-                bm = lazy_bitmaps[i]
-                if bm is None:
-                    c = universe[i]
-                    bm = lazy_bitmaps[i] = clause_bitmap(c.pos_mask, c.neg_mask, n)
+            for bm in formula:
                 acc &= bm
                 if not acc:
                     break
-            tally = tallies[name]
-            tally[0] += 1
-            models = acc.bit_count()
-            if models > tally[1]:
-                tally[1] = models
-            if not _check_bitmap(name, acc):
-                tally[2].append(
-                    Counterexample(
-                        stratum=name,
-                        num_clauses=size,
-                        clause_indices=tuple(indices),
-                        model_count=models,
+            if acc:
+                models = acc.bit_count()
+                if models > max_models:
+                    max_models = models
+                if models > ceiling:
+                    # distinct clauses have distinct falsifying subcubes,
+                    # hence bitmaps
+                    index_of = {bm: i for i, bm in bitmaps.items()}
+                    tally[2].append(
+                        Counterexample(
+                            stratum=name,
+                            num_clauses=size,
+                            clause_indices=tuple(index_of[bm] for bm in formula),
+                            model_count=models,
+                        )
                     )
-                )
-        for name, rlo, rhi in ranges:
-            checked, max_models, counterexamples = tallies[name]
-            strata_reports.append(
-                StratumReport(
-                    name=name,
-                    clause_count_lo=rlo,
-                    clause_count_hi=rhi,
-                    formulas_checked=checked,
-                    max_models_seen=max_models,
-                    counterexamples=tuple(counterexamples),
-                )
-            )
+        tally[0] += checked
+        if max_models > tally[1]:
+            tally[1] = max_models
 
     return VerificationReport(
         n=n,
         mode=mode,
         bounds=table,
-        strata=tuple(strata_reports),
+        strata=tuple(
+            StratumReport(
+                name=name,
+                clause_count_lo=lo,
+                clause_count_hi=hi,
+                formulas_checked=tallies[name][0],
+                max_models_seen=tallies[name][1],
+                counterexamples=tuple(tallies[name][2]),
+            )
+            for name, lo, hi in ranges
+        ),
         tightness=_tightness(n),
     )

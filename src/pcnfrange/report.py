@@ -8,12 +8,16 @@ identical inputs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .bounds import BoundsTable
+from .bounds import BoundsTable, Construction, clause_distribution
 from .detectors import Reason, ScreenResult, Verdict
-from .generate import VerificationReport
 from .oracle import OracleResult
+
+if TYPE_CHECKING:
+    from .generate import VerificationReport
 
 
 def var_name(index: int, n: int) -> str:
@@ -205,8 +209,15 @@ def oracle_to_dict(result: OracleResult, n: int) -> dict:
 
 
 def to_json(doc: dict) -> str:
-    """Byte-stable JSON: sorted keys, fixed two-space indentation."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Byte-stable JSON: sorted keys, fixed two-space indentation, exact ints
+    past the interpreter's int-to-string digit limit (m = 3^n - 1 is beyond
+    its default 4,300 digits from n = 9013)."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def bounds_text(table: BoundsTable) -> str:
@@ -245,8 +256,6 @@ def report_text(report: AnalysisReport) -> str:
 
 
 def _width_table(n: int) -> list[str]:
-    from .bounds import Construction, clause_distribution
-
     rows = [("width", list(range(1, n + 1)))]
     rows.append(("universe (m)", list(clause_distribution(n, Construction.ALL))))
     rows.append(("max-sat (f)", list(clause_distribution(n, Construction.MAX_SAT))))

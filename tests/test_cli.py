@@ -1,6 +1,6 @@
 import json
 
-from pcnfrange.cli import main
+from pcnfrange.cli import build_parser, main
 
 from tests.helpers import GOLDEN_CNF
 
@@ -188,7 +188,8 @@ def test_generate_rejects_bad_witness(capsys):
         capsys, "generate", "--construction", "max-sat", "--n", "2",
         "--witness", "2x",
     )
-    assert code == 65
+    assert code == 64
+    assert "witness must be 2 characters" in err
 
 
 def test_solve_exit_codes(capsys, tmp_path):
@@ -279,6 +280,15 @@ def test_oracle_cap_env_var_non_integer_warns(capsys, monkeypatch):
     assert code == 20
     assert "ignoring non-integer" in err
     assert json.loads(out)["oracle"]["run"] is True
+
+
+def test_oracle_cap_env_var_read_by_analyze_only(capsys, monkeypatch):
+    monkeypatch.setenv("PCNFRANGE_ORACLE_MAX_N", "x")
+    code, out, err = run(capsys, "bounds", "2")
+    assert code == 0
+    assert err == ""
+    assert build_parser().parse_args(["analyze", str(GOLDEN_CNF)]).oracle_max_n == 20
+    assert "ignoring non-integer PCNFRANGE_ORACLE_MAX_N='x'" in capsys.readouterr().err
 
 
 def test_analyze_satlib_trailer(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from pcnfrange import (
     clause_canonical_key,
     clause_satisfied,
 )
+from pcnfrange import formula as formula_module
 from pcnfrange.formula import MAX_VARS, bit_indices, clause_sort_key
 
 from tests.helpers import cl
@@ -63,6 +66,18 @@ def test_clause_width_and_literals():
 def test_bit_indices():
     assert bit_indices(0) == ()
     assert bit_indices(0b101101) == (0, 2, 3, 5)
+
+
+def test_bit_indices_does_not_cache_wide_masks():
+    size = len(formula_module._BIT_INDEX_CACHE)
+    rng = random.Random(5)
+    for width in (17, 64, 1000):
+        for _ in range(200):
+            mask = rng.getrandbits(width) | 1 << (width - 1)
+            assert bit_indices(mask) == tuple(
+                v for v in range(width) if mask >> v & 1
+            )
+    assert len(formula_module._BIT_INDEX_CACHE) == size
 
 
 def test_full_positive_clause_satisfied_by_every_nonzero_assignment():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import comb
 
@@ -15,6 +16,7 @@ from pcnfrange import (
     double_sat_construction,
     enumerate_clauses,
     max_sat_construction,
+    model_bitmap,
     sample_pcnf,
     solve,
     verify_bounds,
@@ -266,3 +268,28 @@ def test_verify_n1_has_no_double_sat_tightness():
     report = verify_bounds(1, VerifyMode.EXHAUSTIVE)
     assert report.ok
     assert report.tightness.double_sat_clause_count is None
+
+
+@pytest.mark.parametrize(
+    "mode, kwargs",
+    [(VerifyMode.EXHAUSTIVE, {}), (VerifyMode.SAMPLE, {"sample_count": 300, "seed": 4})],
+)
+def test_verify_reports_reproducible_counterexamples(monkeypatch, mode, kwargs):
+    # f and g lowered by two, so both strata hold formulas that break the
+    # claims; every reported one must name clauses that really do.
+    true = bounds_for(2)
+    lowered = dataclasses.replace(true, f=true.f - 2, g=true.g - 2)
+    monkeypatch.setattr("pcnfrange.generate.bounds_for", lambda n: lowered)
+    report = verify_bounds(2, mode, **kwargs)
+    assert not report.ok
+    universe = enumerate_clauses(2)
+    ceiling = {"natural_range": 1, "beyond_f": 0}
+    for stratum in report.strata:
+        assert stratum.counterexamples
+        for ce in stratum.counterexamples:
+            assert ce.stratum == stratum.name
+            assert len(ce.clause_indices) == ce.num_clauses
+            assert stratum.clause_count_lo <= ce.num_clauses <= stratum.clause_count_hi
+            clauses = [universe[i] for i in ce.clause_indices]
+            assert model_bitmap(2, clauses).bit_count() == ce.model_count
+            assert ce.model_count > ceiling[stratum.name]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pcnfrange import (
     PcnfFormula,
     VerifyMode,
@@ -135,3 +137,13 @@ def test_verification_dict_shape():
     assert {s["name"] for s in doc["strata"]} == {"beyond_f", "natural_range"}
     assert doc["tightness"]["max_sat_clause_count"] == 5
     json.dumps(doc)  # must be serializable as-is
+
+
+def test_to_json_prints_ints_past_the_interpreter_digit_limit():
+    text = to_json({"m": 3**9100})
+    assert text.startswith('{\n  "m": ') and text.endswith("\n}\n")
+    digits = text[len('{\n  "m": '):-len("\n}\n")]
+    assert len(digits) == 4342  # floor(9100 log10 3) + 1
+    assert int(digits[-18:]) == pow(3, 9100, 10**18)
+    with pytest.raises(ValueError):
+        str(3**9100)  # the interpreter's limit is back after the call

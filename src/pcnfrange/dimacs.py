@@ -4,16 +4,17 @@ The parser accepts comment lines (``c ...``), one ``p cnf <vars> <clauses>``
 header, and zero-terminated clauses (which may span lines or share one).  A
 line starting with ``%`` (the SATLIB trailer) ends the clause section;
 everything after it is ignored.
-Duplicate literals, repeated clauses, tautologies, and empty clauses all
-survive parsing untouched; normalization is a separate, explicit step.  A
-header clause count that disagrees with the clauses actually present is
-common in the wild, so it warns instead of failing.
+Literals stay the signed ints of the file.  Duplicate literals, repeated
+clauses, tautologies, and empty clauses all survive parsing untouched;
+normalization is a separate, explicit step.  A header clause count that
+disagrees with the clauses actually present is common in the wild, so it
+warns instead of failing.
 """
 from __future__ import annotations
 
 import warnings
 
-from .formula import Literal, PcnfFormula, RawCnf, bit_indices
+from .formula import PcnfFormula, RawCnf
 
 
 class DimacsError(ValueError):
@@ -52,8 +53,8 @@ def parse_dimacs(text: str | bytes) -> RawCnf:
 
     num_vars: int | None = None
     declared_clauses: int | None = None
-    clauses: list[tuple[Literal, ...]] = []
-    pending: list[Literal] = []
+    clauses: list[tuple[int, ...]] = []
+    pending: list[int] = []
     last_line = 0
 
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -92,7 +93,7 @@ def parse_dimacs(text: str | bytes) -> RawCnf:
                 raise LiteralOutOfRangeError(
                     f"literal {lit} out of range for {num_vars} variables", lineno
                 )
-            pending.append(Literal(abs(lit) - 1, negated=lit < 0))
+            pending.append(lit)
 
     if num_vars is None:
         raise MalformedHeaderError("missing 'p cnf' header", last_line or None)
@@ -116,9 +117,5 @@ def write_dimacs(formula: PcnfFormula) -> str:
     """
     lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
     for clause in formula.clauses:
-        parts = []
-        for v in bit_indices(clause.occupancy):
-            parts.append(str(-(v + 1) if clause.neg_mask >> v & 1 else v + 1))
-        parts.append("0")
-        lines.append(" ".join(parts))
+        lines.append(" ".join(map(str, clause.literals())) + " 0")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
-"""Core value types: literals, clauses, formulas, and assignments.
+"""Core value types: clauses, formulas, and assignments.
 
-Clauses carry a bit-parallel encoding: two n-bit masks, one for the
-positively occurring variables and one for the negated ones.  A clause is a
-valid PCNF clause when the masks are disjoint (no variable together with its
-complement) and not both empty.  Assignments are plain ints whose bit i is
+A literal is a DIMACS int: variable i (0-indexed) is ``i + 1``, its
+complement ``-(i + 1)``.  Clauses carry a bit-parallel encoding: two n-bit
+masks, one for the positively occurring variables and one for the negated
+ones; `literal_masks` is the one conversion from literals to masks.  A
+clause is a valid PCNF clause when the masks are disjoint (no variable
+together with its complement) and not both empty.  Assignments are plain ints whose bit i is
 the truth value of variable i, so clause evaluation is two mask ANDs.
 
 Everything here is immutable after construction and safe to share between
@@ -13,11 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
-
-#: Cap on the variable count of mask-encoded formulas.  Keeps masks inside a
-#: machine word's worth of bits; the counting functions in `bounds` use exact
-#: big integers and work for any n.
-MAX_VARS = 63
 
 #: An assignment is an int whose bit i holds the truth value of variable i.
 Assignment = int
@@ -53,19 +50,23 @@ def all_true(num_vars: int) -> Assignment:
     return (1 << num_vars) - 1
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """A variable or its complement."""
+def literal_masks(literals: Iterable[int]) -> tuple[int, int]:
+    """The (positive, negative) masks of DIMACS literals.
 
-    variable: int
-    negated: bool = False
-
-    def __post_init__(self) -> None:
-        if self.variable < 0:
-            raise ValueError(f"negative variable index: {self.variable}")
-
-    def __str__(self) -> str:
-        return ("~" if self.negated else "") + f"x{self.variable}"
+    A literal ``v`` sets bit ``v - 1`` of the positive mask and ``-v`` the same
+    bit of the negative one, so repeats collapse and a variable together
+    with its complement sets the bit in both.  Raises ValueError on ``0``,
+    which is no literal.
+    """
+    pos = neg = 0
+    for lit in literals:
+        if lit > 0:
+            pos |= 1 << (lit - 1)
+        elif lit:
+            neg |= 1 << (-lit - 1)
+        else:
+            raise ValueError("0 is not a DIMACS literal")
+    return pos, neg
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,27 +102,21 @@ class Clause:
         """Number of distinct variables in the clause."""
         return (self.pos_mask | self.neg_mask).bit_count()
 
-    def literals(self) -> tuple[Literal, ...]:
-        """The clause's literals in ascending variable order."""
+    def literals(self) -> tuple[int, ...]:
+        """The clause's DIMACS literals in ascending variable order."""
+        neg = self.neg_mask
         return tuple(
-            Literal(v, negated=bool(self.neg_mask >> v & 1))
-            for v in bit_indices(self.occupancy)
+            -(v + 1) if neg >> v & 1 else v + 1 for v in bit_indices(self.occupancy)
         )
 
     @classmethod
-    def from_literals(cls, literals: Iterable[Literal]) -> "Clause":
-        """Build a clause from literals; repeats of the same literal collapse.
+    def from_literals(cls, literals: Iterable[int]) -> "Clause":
+        """Build a clause from DIMACS literals; repeats collapse.
 
         Raises ValueError if the literals are empty or contain a variable
         together with its complement (no PCNF clause represents either).
         """
-        pos = neg = 0
-        for lit in literals:
-            if lit.negated:
-                neg |= 1 << lit.variable
-            else:
-                pos |= 1 << lit.variable
-        return cls(pos, neg)
+        return cls(*literal_masks(literals))
 
 
 def clause_sort_key(clause: Clause) -> tuple[int, int, int]:
@@ -143,23 +138,24 @@ def clause_canonical_key(clause: Clause) -> tuple[int, ...]:
 class RawCnf:
     """A CNF formula as read from the outside world.
 
-    Duplicate literals, tautological clauses, repeated clauses, and empty
-    clauses are all representable; `normalize` turns this into a
-    `PcnfFormula` (or rejects it, for empty clauses).
+    Each clause is a tuple of DIMACS literals, nonzero ints of magnitude at
+    most ``num_vars``; construction rejects any other.  Duplicate literals,
+    tautological clauses, repeated clauses, and empty clauses are all
+    representable; `normalize` turns this into a `PcnfFormula` (or rejects
+    it, for empty clauses).
     """
 
     num_vars: int
-    clauses: tuple[tuple[Literal, ...], ...]
+    clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.num_vars < 0:
+        n = self.num_vars
+        if n < 0:
             raise ValueError("num_vars must be non-negative")
         for clause in self.clauses:
             for lit in clause:
-                if lit.variable >= self.num_vars:
-                    raise ValueError(
-                        f"literal {lit} out of range for {self.num_vars} variables"
-                    )
+                if not lit or abs(lit) > n:
+                    raise ValueError(f"literal {lit} out of range for {n} variables")
 
     @property
     def contains_empty_clause(self) -> bool:
@@ -189,11 +185,11 @@ class PcnfFormula:
     ) -> "PcnfFormula":
         """Validate, canonically sort, and wrap a clause collection.
 
-        Raises ValueError on out-of-range variables, repeated clauses, or a
-        variable count beyond `MAX_VARS`.
+        Raises ValueError on a negative variable count, out-of-range
+        variables, or repeated clauses.
         """
-        if not 0 <= num_vars <= MAX_VARS:
-            raise ValueError(f"num_vars must be in [0, {MAX_VARS}], got {num_vars}")
+        if num_vars < 0:
+            raise ValueError(f"num_vars must be non-negative, got {num_vars}")
         ordered = sorted(clauses, key=clause_sort_key)
         universe = (1 << num_vars) - 1
         for i, clause in enumerate(ordered):

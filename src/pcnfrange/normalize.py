@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Clause, PcnfFormula, RawCnf, clause_sort_key
+from .formula import Clause, PcnfFormula, RawCnf, literal_masks
 
 
 class EmptyClauseError(ValueError):
@@ -50,37 +50,32 @@ def normalize(raw: RawCnf) -> tuple[PcnfFormula, NormalizationStats]:
     dup_clauses = 0
     scanned = 0
 
-    seen: set[tuple[int, int]] = set()
+    # (width, pos, neg) triples: sorting them gives the canonical clause
+    # order before any Clause is built.
+    seen: set[tuple[int, int, int]] = set()
     for clause in raw.clauses:
         if not clause:
             raise EmptyClauseError("input contains an empty clause")
-        pos = neg = 0
-        for lit in clause:
-            scanned += 1
-            bit = 1 << lit.variable
-            if lit.negated:
-                if neg & bit:
-                    dup_literals += 1
-                neg |= bit
-            else:
-                if pos & bit:
-                    dup_literals += 1
-                pos |= bit
-        # Duplicate-literal removal happened implicitly above; only now is
-        # the variable-and-complement test meaningful.
+        pos, neg = literal_masks(clause)
+        scanned += len(clause)
+        # Repeats collapsed in the masks: each literal beyond a mask bit's
+        # first is a duplicate.  Only now is the complement test meaningful.
+        width = pos.bit_count() + neg.bit_count()
+        dup_literals += len(clause) - width
         if pos & neg:
             tautologies += 1
             continue
-        if (pos, neg) in seen:
+        key = (width, pos, neg)
+        if key in seen:
             dup_clauses += 1
             continue
-        seen.add((pos, neg))
+        seen.add(key)
 
-    ordered = sorted((Clause(p, q) for p, q in seen), key=clause_sort_key)
+    ordered = tuple(Clause(p, q) for _, p, q in sorted(seen))
     stats = NormalizationStats(
         duplicate_literals_removed=dup_literals,
         tautological_clauses_dropped=tautologies,
         duplicate_clauses_dropped=dup_clauses,
         literals_scanned=scanned,
     )
-    return PcnfFormula(raw.num_vars, tuple(ordered)), stats
+    return PcnfFormula(raw.num_vars, ordered), stats

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .formula import Assignment, Clause, Literal, PcnfFormula
+from .formula import Assignment, Clause, PcnfFormula, literal_masks
 
 #: Ceiling on the oracle's variable count: a truth table of 2^24 bits is 2 MiB.
 DEFAULT_MAX_VARS = 24
@@ -112,10 +112,8 @@ def model_bitmap(num_vars: int, clauses: Iterable[Clause]) -> int:
     return acc
 
 
-def raw_model_bitmap(
-    num_vars: int, clauses: Iterable[Sequence[Literal]]
-) -> int:
-    """Model bitmap of raw literal clauses.
+def raw_model_bitmap(num_vars: int, clauses: Iterable[Sequence[int]]) -> int:
+    """Model bitmap of raw DIMACS-literal clauses.
 
     Tolerates duplicate literals, tautologies (skipped: every assignment
     satisfies them), and empty clauses (no assignment does), so it can sit on
@@ -123,12 +121,7 @@ def raw_model_bitmap(
     """
     acc = (1 << (1 << num_vars)) - 1
     for clause in clauses:
-        pos = neg = 0
-        for lit in clause:
-            if lit.negated:
-                neg |= 1 << lit.variable
-            else:
-                pos |= 1 << lit.variable
+        pos, neg = literal_masks(clause)
         if pos & neg:
             continue
         acc &= clause_bitmap(pos, neg, num_vars)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -208,18 +209,27 @@ def oracle_to_dict(result: OracleResult, n: int) -> dict:
     return doc
 
 
-def to_json(doc: dict) -> str:
-    """Byte-stable JSON: sorted keys, fixed two-space indentation, exact ints
-    past the interpreter's int-to-string digit limit (m = 3^n - 1 is beyond
-    its default 4,300 digits from n = 9013)."""
+@contextmanager
+def _exact_ints():
+    """Lift the interpreter's int-to-string digit limit for the duration, so
+    bounds print as exact ints (m = 3^n - 1 is beyond its default 4,300
+    digits from n = 9013)."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
 
 
+@_exact_ints()
+def to_json(doc: dict) -> str:
+    """Byte-stable JSON: sorted keys, fixed two-space indentation, exact ints
+    however many digits they have."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@_exact_ints()
 def bounds_text(table: BoundsTable) -> str:
     rows = [
         ("n", table.n, "variables"),
@@ -236,6 +246,7 @@ def bounds_text(table: BoundsTable) -> str:
     return "\n".join(f"{name}  {value:>{width}}  {note}" for name, value, note in rows)
 
 
+@_exact_ints()
 def report_text(report: AnalysisReport) -> str:
     screen = report.screen
     n = report.n

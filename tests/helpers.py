@@ -10,15 +10,16 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from pcnfrange import Clause, Literal, PcnfFormula, RawCnf
+from pcnfrange import Clause, PcnfFormula, RawCnf
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_CNF = FIXTURES / "detector_blind_n3_m17.cnf"
 
 
-def lit(token: str) -> Literal:
-    negated = token[0] in "~-"
-    return Literal(ord(token.lstrip("~-")) - ord("a"), negated=negated)
+def lit(token: str) -> int:
+    """The DIMACS literal of a letter token: ``a`` is 1, ``~b`` is -2."""
+    variable = ord(token.lstrip("~-")) - ord("a") + 1
+    return -variable if token[0] in "~-" else variable
 
 
 def cl(spec: str) -> Clause:
@@ -55,9 +56,9 @@ def golden_formula() -> PcnfFormula:
 
 
 def naive_model_set(
-    num_vars: int, clauses: Sequence[Sequence[Literal]]
+    num_vars: int, clauses: Sequence[Sequence[int]]
 ) -> set[tuple[bool, ...]]:
-    """Bitmask-free reference evaluation, one literal at a time.
+    """Bitmask-free reference evaluation, one DIMACS literal at a time.
 
     Slow by design; exists to check that the oracle's mask encoding and
     truth tables are faithful.
@@ -66,7 +67,7 @@ def naive_model_set(
     for bits in range(2**num_vars):
         values = tuple(bool(bits >> v & 1) for v in range(num_vars))
         if all(
-            any(values[lit.variable] != lit.negated for lit in clause)
+            any(values[abs(lit) - 1] != (lit < 0) for lit in clause)
             for clause in clauses
         ):
             models.add(values)

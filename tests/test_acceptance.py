@@ -12,7 +12,6 @@ from math import comb
 
 from pcnfrange import (
     Construction,
-    Literal,
     RangeClass,
     RawCnf,
     Verdict,
@@ -199,7 +198,7 @@ def _messy_raw(rng: random.Random, n: int) -> RawCnf:
     for _ in range(rng.randint(0, 14)):
         width = rng.randint(1, n + 2)  # beyond n forces repeats or tautologies
         lits = tuple(
-            Literal(rng.randrange(n), negated=rng.random() < 0.5)
+            (rng.randrange(n) + 1) * (-1 if rng.random() < 0.5 else 1)
             for _ in range(width)
         )
         clauses.append(lits)

@@ -5,7 +5,6 @@ import pytest
 
 from pcnfrange import (
     DimacsWarning,
-    Literal,
     LiteralOutOfRangeError,
     MalformedHeaderError,
     PcnfFormula,
@@ -23,12 +22,12 @@ from tests.helpers import GOLDEN_CNF, cl, golden_formula
 def test_parse_minimal_contradiction():
     raw = parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")
     assert raw.num_vars == 1
-    assert raw.clauses == ((Literal(0),), (Literal(0, True),))
+    assert raw.clauses == ((1,), (-1,))
 
 
 def test_parse_preserves_duplicate_literals():
     raw = parse_dimacs("p cnf 2 1\n1 1 -2 0\n")
-    assert raw.clauses == ((Literal(0), Literal(0), Literal(1, True)),)
+    assert raw.clauses == ((1, 1, -2),)
     f, _ = normalize(raw)
     assert f.clauses == (cl("a ~b"),)
 
@@ -44,10 +43,7 @@ def test_parse_golden_fixture():
 
 def test_parse_accepts_bytes_comments_and_split_clauses():
     raw = parse_dimacs(b"c header comment\np cnf 2 2\n1\n2 0\nc mid\n-1 -2 0\n")
-    assert raw.clauses == (
-        (Literal(0), Literal(1)),
-        (Literal(0, True), Literal(1, True)),
-    )
+    assert raw.clauses == ((1, 2), (-1, -2))
 
 
 def test_parse_records_empty_clause():
@@ -65,10 +61,7 @@ def test_parse_stops_at_satlib_trailer():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         raw = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n\n")
-    assert raw.clauses == (
-        (Literal(0), Literal(1, True)),
-        (Literal(1), Literal(2)),
-    )
+    assert raw.clauses == ((1, -2), (2, 3))
     with pytest.raises(UnterminatedClauseError):
         parse_dimacs("p cnf 3 1\n1 -2\n%\n0\n")
 

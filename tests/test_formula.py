@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 
 from pcnfrange import (
     Clause,
-    Literal,
     PcnfFormula,
     RawCnf,
     all_true,
     clause_canonical_key,
     clause_satisfied,
+    enumerate_clauses,
 )
 from pcnfrange import formula as formula_module
-from pcnfrange.formula import MAX_VARS, bit_indices, clause_sort_key
+from pcnfrange.formula import bit_indices, clause_sort_key, literal_masks
 
 from tests.helpers import cl
 
@@ -48,19 +48,19 @@ def test_clause_rejects_empty():
 
 
 def test_from_literals_collapses_repeats():
-    c = Clause.from_literals([Literal(0), Literal(0), Literal(1, True)])
+    c = Clause.from_literals([1, 1, -2])
     assert (c.pos_mask, c.neg_mask) == (0b01, 0b10)
 
 
 def test_from_literals_rejects_tautology():
     with pytest.raises(ValueError):
-        Clause.from_literals([Literal(0), Literal(0, True)])
+        Clause.from_literals([1, -1])
 
 
 def test_clause_width_and_literals():
     c = cl("a ~b ~d")
     assert c.width == 3
-    assert c.literals() == (Literal(0), Literal(1, True), Literal(3, True))
+    assert c.literals() == (1, -2, -4)
 
 
 def test_bit_indices():
@@ -105,18 +105,23 @@ def test_clause_satisfied_matches_literal_semantics(n, data):
     pos = data.draw(st.integers(0, (1 << n) - 1)) & occ
     c = Clause(pos, occ ^ pos)
     a = data.draw(st.integers(0, (1 << n) - 1))
-    expected = any(bool(a >> l.variable & 1) != l.negated for l in c.literals())
+    expected = any(bool(a >> (abs(l) - 1) & 1) != (l < 0) for l in c.literals())
     assert clause_satisfied(c, a) == expected
 
 
 def test_raw_cnf_rejects_out_of_range_literal():
     with pytest.raises(ValueError):
-        RawCnf(1, ((Literal(1),),))
+        RawCnf(1, ((2,),))
+    with pytest.raises(ValueError):
+        RawCnf(1, ((-2,),))
+    with pytest.raises(ValueError):
+        RawCnf(3, ((1, 0, 2),))
+    assert RawCnf(3, ((1, -3, 3),)).clauses == ((1, -3, 3),)
 
 
 def test_raw_cnf_flags_empty_clause():
     assert RawCnf(2, ((),)).contains_empty_clause
-    assert not RawCnf(2, ((Literal(0),),)).contains_empty_clause
+    assert not RawCnf(2, ((1,),)).contains_empty_clause
 
 
 def test_from_clauses_sorts_canonically():
@@ -137,9 +142,12 @@ def test_from_clauses_rejects_out_of_universe_variables():
         PcnfFormula.from_clauses(1, [cl("a b")])
 
 
-def test_from_clauses_rejects_beyond_max_vars():
+def test_from_clauses_accepts_any_variable_count():
+    f = PcnfFormula.from_clauses(1000, [cl("a"), Clause(0, 1 << 999)])
+    assert f.num_vars == 1000
+    assert f.clauses[0].literals() == (-1000,)
     with pytest.raises(ValueError):
-        PcnfFormula.from_clauses(MAX_VARS + 1, [])
+        PcnfFormula.from_clauses(-1, [])
 
 
 def test_occurring_variables():
@@ -152,3 +160,20 @@ def test_satisfied_by():
     assert f.satisfied_by(0b11)
     assert not f.satisfied_by(0b01)
     assert PcnfFormula.from_clauses(2, []).satisfied_by(0)
+
+
+def test_literal_masks():
+    assert literal_masks([]) == (0, 0)
+    assert literal_masks([3, -1, 3]) == (0b100, 0b001)
+    assert literal_masks([2, -2]) == (0b10, 0b10)
+    with pytest.raises(ValueError, match="0 is not"):
+        literal_masks([1, 0])
+
+
+def test_literals_round_trip_over_the_universe():
+    for n in range(1, 5):
+        for c in enumerate_clauses(n):
+            lits = c.literals()
+            assert all(isinstance(lit, int) and 0 < abs(lit) <= n for lit in lits)
+            assert [abs(lit) for lit in lits] == sorted(abs(lit) for lit in lits)
+            assert Clause.from_literals(lits) == c

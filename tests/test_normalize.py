@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from pcnfrange import (
     EmptyClauseError,
-    Literal,
     RawCnf,
     normalize,
     raw_model_bitmap,
@@ -38,7 +37,7 @@ def test_three_rules_together():
 
 def test_empty_clause_rejected():
     with pytest.raises(EmptyClauseError):
-        normalize(RawCnf(2, ((Literal(0),), ())))
+        normalize(RawCnf(2, ((1,), ())))
 
 
 def test_variable_universe_preserved():
@@ -68,7 +67,7 @@ def _random_raw(rng: random.Random, n: int) -> RawCnf:
     for _ in range(rng.randint(0, 12)):
         width = rng.randint(1, n + 2)  # > n forces duplicates/tautologies
         lits = tuple(
-            Literal(rng.randrange(n), negated=rng.random() < 0.5)
+            (rng.randrange(n) + 1) * (-1 if rng.random() < 0.5 else 1)
             for _ in range(width)
         )
         clauses.append(lits)
@@ -101,7 +100,7 @@ def test_renormalization_is_identity(n, data):
                 max_size=n + 2,
             )
         )
-        clauses.append(tuple(Literal(v, neg) for v, neg in lits))
+        clauses.append(tuple(-(v + 1) if neg else v + 1 for v, neg in lits))
     f1, _ = normalize(RawCnf(n, tuple(clauses)))
     f2, stats = normalize(RawCnf(n, tuple(c.literals() for c in f1.clauses)))
     assert f2 == f1

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from pcnfrange import (
+    BoundsTable,
     PcnfFormula,
     VerifyMode,
     build_report,
@@ -147,3 +149,26 @@ def test_to_json_prints_ints_past_the_interpreter_digit_limit():
     assert int(digits[-18:]) == pow(3, 9100, 10**18)
     with pytest.raises(ValueError):
         str(3**9100)  # the interpreter's limit is back after the call
+
+
+def _table_9100() -> BoundsTable:
+    # bounds_for's closed forms, without its ~35 s summation cross-check
+    n = 9100
+    m, r, s, p = 3**n - 1, 2**n - 1, 2 ** (n - 1), 3 ** (n - 1)
+    return BoundsTable(n=n, m=m, f=m - r, g=m - r - s, r=r, s=s, v=2 * p - s, p=p, q=p - s)
+
+
+def test_text_renderers_print_ints_past_the_interpreter_digit_limit():
+    table = _table_9100()
+    rows = {
+        name: value
+        for name, value, _ in (line.split(None, 2) for line in bounds_text(table).splitlines())
+    }
+    assert rows["n"] == "9100"
+    assert len(rows["m"]) == 4342  # floor(9100 log10 3) + 1
+    assert int(rows["m"][-18:]) == table.m % 10**18
+    screen = replace(screen_all(PcnfFormula(1, ())), n=9100, bounds=table)
+    text = report_text(build_report(screen))
+    assert f"(g={rows['g']}, f={rows['f']}, m={rows['m']})" in text
+    with pytest.raises(ValueError):
+        str(table.m)  # the interpreter's limit is back after each call

@@ -63,8 +63,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
+    """The text of ``path``, or of standard input when it is ``-``."""
     try:
-        return Path(path).read_text()
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as exc:
         raise DimacsError(f"cannot read {path}: {exc}") from exc
 
@@ -179,6 +180,11 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     n = args.n
+    least = 2 if args.construction == "double-sat" else 1
+    if n < least:
+        raise UsageError(
+            f"construction {args.construction} requires n >= {least}, got {n}"
+        )
     witness = _parse_witness(args.witness, n) if args.witness else None
     if args.construction == "all":
         formula = PcnfFormula(n, enumerate_clauses(n))
@@ -207,6 +213,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise UsageError(f"verify requires n >= 1, got {args.n}")
+    if args.mode == "sample" and args.count < 0:
+        raise UsageError(f"sample count must be >= 0, got {args.count}")
     report = verify_bounds(
         args.n,
         VerifyMode(args.mode),
@@ -230,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="screen a DIMACS file and report a verdict")
-    p.add_argument("file")
+    p.add_argument("file", help="DIMACS file, or - for standard input")
     p.add_argument(
         "--oracle-max-n",
         type=int,
@@ -258,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("normalize", help="normalize a DIMACS file to PCNF")
-    p.add_argument("infile")
+    p.add_argument("infile", help="DIMACS file, or - for standard input")
     p.add_argument("outfile", nargs="?")
     p.set_defaults(func=cmd_normalize)
 
@@ -281,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("solve", help="exhaustively count models of a DIMACS file")
-    p.add_argument("file")
+    p.add_argument("file", help="DIMACS file, or - for standard input")
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_VARS)
     p.set_defaults(func=cmd_solve)
 

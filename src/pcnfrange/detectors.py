@@ -75,15 +75,23 @@ class OccurrenceCensus:
 class ClauseClassTable:
     """Clause-class counts from the one-scan counting algorithm.
 
-    ``counts`` maps each occurring variable set (polarity-stripped,
-    ascending) to the number of clauses on exactly that set; ``ceilings``
-    maps each occurring width k to 2^k, the most clauses any width-k set can
-    carry.  ``clauses_scanned`` instruments the single-scan property.
+    ``occupancy_counts`` maps each occurring variable set, as a mask, to the
+    number of clauses on exactly that set, in first-seen order.  ``counts``
+    re-keys it by ascending variable indices; ``ceilings`` maps each
+    occurring width k to 2^k, the most clauses a width-k set can carry.
+    ``clauses_scanned`` instruments the single-scan property.
     """
 
-    counts: dict[tuple[int, ...], int] = field(default_factory=dict)
-    ceilings: dict[int, int] = field(default_factory=dict)
+    occupancy_counts: dict[int, int] = field(default_factory=dict)
     clauses_scanned: int = 0
+
+    @property
+    def counts(self) -> dict[tuple[int, ...], int]:
+        return {bit_indices(occ): c for occ, c in self.occupancy_counts.items()}
+
+    @property
+    def ceilings(self) -> dict[int, int]:
+        return {k: 1 << k for k in map(int.bit_count, self.occupancy_counts)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,21 +207,16 @@ def clause_class_screen(
         c = counts[occ] = counts.get(occ, 0) + 1
         if early_exit and c == 1 << occ.bit_count():
             break
-    keyed = {bit_indices(occ): c for occ, c in counts.items()}
-    table = ClauseClassTable(
-        counts=keyed,
-        ceilings={len(key): 1 << len(key) for key in keyed},
-        clauses_scanned=scanned,
+    # Only saturated classes get tuple keys; reasons go in tuple-key order.
+    saturated = sorted(
+        (bit_indices(occ), c) for occ, c in counts.items() if c == 1 << occ.bit_count()
     )
-
     reasons = tuple(
-        Reason(rule="clause_class", class_key=key, count=c, threshold=1 << len(key))
-        for key, c in sorted(table.counts.items())
-        if c == 1 << len(key)
+        Reason(rule="clause_class", class_key=key, count=c, threshold=c)
+        for key, c in saturated
     )
-    if reasons:
-        return DetectorVerdict(Verdict.UNSATISFIABLE, reasons), table
-    return DetectorVerdict(Verdict.UNKNOWN), table
+    outcome = Verdict.UNSATISFIABLE if reasons else Verdict.UNKNOWN
+    return DetectorVerdict(outcome, reasons), ClauseClassTable(counts, scanned)
 
 
 def screen_all(

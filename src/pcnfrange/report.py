@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .bounds import BoundsTable, Construction, clause_distribution
 from .detectors import Reason, ScreenResult, Verdict
+from .formula import bit_indices
 from .oracle import OracleResult
 
 if TYPE_CHECKING:
@@ -119,17 +120,7 @@ def build_report(
 
 
 def bounds_to_dict(table: BoundsTable) -> dict:
-    return {
-        "n": table.n,
-        "m": table.m,
-        "f": table.f,
-        "g": table.g,
-        "r": table.r,
-        "s": table.s,
-        "v": table.v,
-        "p": table.p,
-        "q": table.q,
-    }
+    return asdict(table)
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -151,8 +142,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "clause_class": {
                 "verdict": screen.clause_class.outcome.value,
                 "C": {
-                    class_key_name(key, n): count
-                    for key, count in table.counts.items()
+                    class_key_name(bit_indices(occ), n): count
+                    for occ, count in table.occupancy_counts.items()
                 },
                 "U": {str(width): cap for width, cap in table.ceilings.items()},
             },

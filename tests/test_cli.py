@@ -1,4 +1,11 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from pcnfrange.cli import build_parser, main
 
@@ -104,10 +111,36 @@ def test_analyze_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_dash_reads_stdin(capsys, monkeypatch, tmp_path):
+    text = "p cnf 2 2\n1 2 0\n-1 0\n"
+    path = write(tmp_path, "in.cnf", text)
+    for command, code in (("analyze", 10), ("solve", 10), ("normalize", 0)):
+        expected = run(capsys, command, path)
+        assert expected[0] == code
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, command, "-") == expected
+
+
 def test_usage_error_exits_64(capsys):
     assert run(capsys, "analyze")[0] == 64
     assert run(capsys, "bogus-command")[0] == 64
     assert run(capsys, "verify", "--n", "2")[0] == 64  # --mode required
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--n", "0", "--mode", "sample"), "n >= 1"),
+        (("generate", "--construction", "all", "--n", "0"), "n >= 1"),
+        (("generate", "--construction", "double-sat", "--n", "1"), "n >= 2"),
+        (("verify", "--n", "3", "--mode", "sample", "--count", "-5"), "count must be >= 0"),
+    ],
+)
+def test_bad_argument_values_exit_64(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert message in err
 
 
 def test_bounds_json(capsys):
@@ -305,3 +338,16 @@ def test_analyze_satlib_trailer(capsys, tmp_path):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = write(tmp_path, "contra.cnf", "p cnf 1 2\n1 0\n-1 0\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_entries = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcnfrange", "analyze", path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 20
+    assert "clause_class key=a" in json.loads(proc.stdout)["reasons"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from pcnfrange import (
     PcnfFormula,
     RangeClass,
     Verdict,
+    clause_canonical_key,
     clause_class_screen,
     enumerate_clauses,
     occurrence_census,
@@ -113,14 +115,40 @@ def test_clause_class_unknown_on_golden_formula():
 
 
 def test_clause_class_table_consistency():
+    # in both modes the table, its first-seen order and the reasons match a
+    # plain count of canonical keys over the scanned prefix
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(1, 6)
         f = sample_pcnf(n, rng.randint(0, 3**n - 1), seed=rng.randrange(2**30))
-        _, table = clause_class_screen(f)
-        assert sum(table.counts.values()) == len(f.clauses)
-        assert all(c <= 1 << len(key) for key, c in table.counts.items())
-        assert table.clauses_scanned == len(f.clauses)
+        for early_exit in (False, True):
+            verdict, table = clause_class_screen(f, early_exit=early_exit)
+            keys = [clause_canonical_key(c) for c in f.clauses[: table.clauses_scanned]]
+            reference = Counter(keys)
+            assert table.counts == reference
+            assert list(table.counts) == list(dict.fromkeys(keys))
+            assert table.ceilings == {len(key): 2 ** len(key) for key in keys}
+            assert all(c <= 1 << len(key) for key, c in table.counts.items())
+            saturated = sorted(k for k, c in reference.items() if c == 2 ** len(k))
+            assert [r.class_key for r in verdict.reasons] == saturated
+            if early_exit:
+                assert len(saturated) <= 1
+            else:
+                assert table.clauses_scanned == len(f.clauses)
+
+
+def test_clause_class_reasons_in_tuple_key_order():
+    # class (1,) has mask 0b010, class (0, 2) mask 0b101, and (1,) is seen
+    # first: neither mask order nor first-seen order is tuple order
+    clauses = [cl("b"), cl("~b"), cl("a c"), cl("a ~c"), cl("~a c"), cl("~a ~c")]
+    verdict, table = clause_class_screen(PcnfFormula(3, tuple(clauses)))
+    assert verdict.outcome is Verdict.UNSATISFIABLE
+    assert [(r.class_key, r.count, r.threshold) for r in verdict.reasons] == [
+        ((0, 2), 4, 4),
+        ((1,), 2, 2),
+    ]
+    assert list(table.counts.items()) == [((1,), 2), ((0, 2), 4)]
+    assert list(table.ceilings.items()) == [(1, 2), (2, 4)]
 
 
 def test_early_exit_stops_scan_but_keeps_verdict():

@@ -165,7 +165,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     raw = parse_dimacs(_read(args.infile))
     formula, stats = normalize(raw)
     text = write_dimacs(formula)
-    if args.outfile:
+    if args.outfile and args.outfile != "-":
         Path(args.outfile).write_text(text)
     else:
         sys.stdout.write(text)
@@ -269,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="normalize a DIMACS file to PCNF")
     p.add_argument("infile", help="DIMACS file, or - for standard input")
-    p.add_argument("outfile", nargs="?")
+    p.add_argument(
+        "outfile", nargs="?", help="output file; standard output if omitted or -"
+    )
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("generate", help="emit a known construction as DIMACS")

@@ -14,7 +14,6 @@ the natural range slip through every rule here.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -116,21 +115,47 @@ class ScreenResult:
 def occurrence_census(formula: PcnfFormula) -> OccurrenceCensus:
     """Count every variable's and literal's occurrences.
 
-    Tallies distinct masks first (clauses repeat few mask values), then
-    spreads the tallies over their bits.
+    A bit-sliced vertical counter (Knuth, TAOCP 4A, 7.1.3) over each
+    clause's 2n-bit literal mask ``neg_mask << n | pos_mask``: slice j holds
+    bit j of all 2n literal counts.  Clauses enter eight at a time through
+    Harley-Seal carry-save adders, so only the eights ripple into the
+    slices; the counts are read out with one `bit_indices` call per slice.
     """
     n = formula.num_vars
-    pos = [0] * n
-    neg = [0] * n
-    for mask, times in Counter(c.pos_mask for c in formula.clauses).items():
-        for v in bit_indices(mask):
-            pos[v] += times
-    for mask, times in Counter(c.neg_mask for c in formula.clauses).items():
-        for v in bit_indices(mask):
-            neg[v] += times
-    totals = tuple(p + q for p, q in zip(pos, neg))
+    masks = [c.neg_mask << n | c.pos_mask for c in formula.clauses]
+    masks += [0] * (-len(masks) % 8)
+    ones = twos = fours = 0
+    eights: list[int] = []  # eights[j] holds bit j + 3 of every count
+    group = iter(masks)
+    for a, b, c, d, e, f, g, h in zip(*[group] * 8):
+        # Each pair of lines is one full adder: (carry, sum) of three slices.
+        u = ones ^ a
+        twos_a, ones = ones & a | u & b, u ^ b
+        u = ones ^ c
+        twos_b, ones = ones & c | u & d, u ^ d
+        u = twos ^ twos_a
+        fours_a, twos = twos & twos_a | u & twos_b, u ^ twos_b
+        u = ones ^ e
+        twos_a, ones = ones & e | u & f, u ^ f
+        u = ones ^ g
+        twos_b, ones = ones & g | u & h, u ^ h
+        u = twos ^ twos_a
+        fours_b, twos = twos & twos_a | u & twos_b, u ^ twos_b
+        u = fours ^ fours_a
+        carry, fours = fours & fours_a | u & fours_b, u ^ fours_b
+        for j, s in enumerate(eights):
+            if not carry:
+                break
+            eights[j], carry = s ^ carry, s & carry
+        if carry:
+            eights.append(carry)
+    counts = [0] * (2 * n)
+    for j, s in enumerate([ones, twos, fours, *eights]):
+        for lit in bit_indices(s):
+            counts[lit] += 1 << j
+    pos, neg = counts[:n], counts[n:]
     return OccurrenceCensus(
-        variable_counts=totals,
+        variable_counts=tuple(p + q for p, q in zip(pos, neg)),
         positive_counts=tuple(pos),
         negative_counts=tuple(neg),
     )

@@ -26,8 +26,8 @@ def bit_indices(mask: int) -> tuple[int, ...]:
     """Ascending indices of the set bits of ``mask``.
 
     Memoized below 2^16 (at most 65,536 entries): formulas reuse a small pool
-    of masks, and the census and serialization paths call this for every
-    clause.  Wider masks rarely repeat, and caching one costs more than
+    of masks, and serialization calls this for every clause and every clause
+    class.  Wider masks rarely repeat, and caching one costs more than
     computing it.
     """
     cached = _BIT_INDEX_CACHE.get(mask)

@@ -1,5 +1,6 @@
 """Shared test builders: a compact clause DSL, the golden 17-clause formula,
-and `naive_model_set`, the oracle's independent reference.
+and the independent references `naive_model_set` (for the oracle) and
+`naive_census` (for the occurrence census).
 
 ``cl("a ~b c")`` builds a clause from space-separated letters, ``~`` (or
 ``-``) marking negation; ``pf(n, "a, ~b, a b")`` builds a formula from
@@ -10,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from pcnfrange import Clause, PcnfFormula, RawCnf
+from pcnfrange import Clause, OccurrenceCensus, PcnfFormula, RawCnf
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_CNF = FIXTURES / "detector_blind_n3_m17.cnf"
@@ -72,3 +73,24 @@ def naive_model_set(
         ):
             models.add(values)
     return models
+
+
+def naive_census(formula: PcnfFormula) -> OccurrenceCensus:
+    """Occurrence counts read off each mask's binary digits, one clause at a
+    time.
+
+    Slow by design and sharing no code with the census's bit-sliced counter
+    or with `bit_indices`; exists to check them.
+    """
+    n = formula.num_vars
+    pos = [0] * n
+    neg = [0] * n
+    for clause in formula.clauses:
+        for counts, mask in ((pos, clause.pos_mask), (neg, clause.neg_mask)):
+            digits = bin(mask)[:1:-1]  # least significant digit first
+            v = digits.find("1")
+            while v >= 0:
+                counts[v] += 1
+                v = digits.find("1", v + 1)
+    totals = tuple(p + q for p, q in zip(pos, neg))
+    return OccurrenceCensus(totals, tuple(pos), tuple(neg))

@@ -176,6 +176,16 @@ def test_normalize_to_stdout(capsys, tmp_path):
     assert out == "p cnf 1 1\n1 0\n"
 
 
+def test_normalize_dash_outfile_is_stdout(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "in.cnf", "p cnf 2 2\n1 1 0\n-2 0\n")
+    code, out, err = run(capsys, "normalize", "in.cnf", "-")
+    assert code == 0
+    assert out == "p cnf 2 2\n-2 0\n1 0\n"
+    assert "1 duplicate literals" in err and "p cnf" not in err
+    assert not (tmp_path / "-").exists()
+
+
 def test_normalize_empty_clause_is_data_error(capsys, tmp_path):
     path = write(tmp_path, "empty.cnf", "p cnf 1 1\n0\n")
     code, _, err = run(capsys, "normalize", path)

@@ -3,8 +3,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcnfrange import (
+    Clause,
     PcnfFormula,
     RangeClass,
     Verdict,
@@ -18,7 +21,7 @@ from pcnfrange import (
     solve,
 )
 
-from tests.helpers import cl, golden_formula, pf
+from tests.helpers import cl, golden_formula, naive_census, pf
 
 
 def test_census_on_golden_formula():
@@ -40,6 +43,66 @@ def test_census_invariant_total_is_pos_plus_neg():
 def test_census_on_empty_formula():
     census = occurrence_census(PcnfFormula.from_clauses(3, []))
     assert census.variable_counts == (0, 0, 0)
+
+
+def test_census_exact_at_every_group_remainder():
+    # Clauses enter the carry-save adders eight at a time: M = 0..17 leaves
+    # every remainder mod 8, before and after one full group.
+    for m in range(18):
+        f = sample_pcnf(3, m, seed=m)
+        assert occurrence_census(f) == naive_census(f)
+
+
+def test_census_exact_across_every_slice_carry():
+    # x1 occurring 2^k - 1, 2^k and 2^k + 1 times carries out of every slice
+    # below k; ~x1 fills the rest of 4,098 clauses, so its count crosses too.
+    universe = enumerate_clauses(9)
+    with_x1 = [c for c in universe if c.pos_mask & 1]
+    with_not_x1 = [c for c in universe if c.neg_mask & 1]
+    for k in range(1, 13):
+        for count in (2**k - 1, 2**k, 2**k + 1):
+            f = PcnfFormula.from_clauses(
+                9, with_x1[:count] + with_not_x1[: 4098 - count]
+            )
+            census = occurrence_census(f)
+            assert census.positive_counts[0] == count
+            assert census.negative_counts[0] == 4098 - count
+            assert census == naive_census(f)
+
+
+def test_census_exact_on_wide_random_3cnf():
+    rng = random.Random(1000)
+    clauses = set()
+    while len(clauses) < 20_000:
+        variables = rng.sample(range(1, 1001), 3)
+        clauses.add(Clause.from_literals(v * rng.choice((1, -1)) for v in variables))
+    f = PcnfFormula.from_clauses(1000, clauses)
+    assert occurrence_census(f) == naive_census(f)
+
+
+def test_census_exact_on_padded_universe():
+    # 12 clauses in a 1,200-variable universe: one partial group of eight,
+    # and almost all of the 2,400 literal counts are zero.
+    f = PcnfFormula.from_clauses(1200, [
+        Clause.from_literals(lits)
+        for lits in (
+            (1,), (-1,), (2, -1200), (1200,), (-600, 601), (1, 2, 3),
+            (-3, 1199), (1199, 1200), (-1, -2, -3), (600,), (-1199, -600, 1),
+            (3, 1200),
+        )
+    ])
+    census = occurrence_census(f)
+    assert census == naive_census(f)
+    assert (census.positive_counts[1199], census.negative_counts[1199]) == (3, 1)
+    assert sum(census.variable_counts) == 23
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 8), st.data())
+def test_census_matches_naive_count(n, data):
+    m = data.draw(st.integers(0, min(3**n - 1, 700)))
+    f = sample_pcnf(n, m, seed=data.draw(st.integers(0, 2**20)))
+    assert occurrence_census(f) == naive_census(f)
 
 
 def test_variable_cap_fires_on_all_clauses_mentioning_a():

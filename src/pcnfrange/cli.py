@@ -19,7 +19,7 @@ from .formula import PcnfFormula
 from .generate import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    EnumerationCapError,
+    DEFAULT_ENUMERATION_CAP,
     VerifyMode,
     double_sat_construction,
     enumerate_clauses,
@@ -93,6 +93,15 @@ def _check_oracle_cap(cap: int) -> None:
     if cap > DEFAULT_MAX_VARS:
         raise UsageError(
             f"oracle cap {cap} exceeds the ceiling of {DEFAULT_MAX_VARS} variables"
+        )
+
+
+def _check_n(what: str, n: int, least: int) -> None:
+    if n < least:
+        raise UsageError(f"{what} requires n >= {least}, got {n}")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise UsageError(
+            f"n={n} is beyond the enumeration cap of n={DEFAULT_ENUMERATION_CAP}"
         )
 
 
@@ -181,10 +190,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     n = args.n
     least = 2 if args.construction == "double-sat" else 1
-    if n < least:
-        raise UsageError(
-            f"construction {args.construction} requires n >= {least}, got {n}"
-        )
+    _check_n(f"construction {args.construction}", n, least)
     witness = _parse_witness(args.witness, n) if args.witness else None
     if args.construction == "all":
         formula = PcnfFormula(n, enumerate_clauses(n))
@@ -213,8 +219,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise UsageError(f"verify requires n >= 1, got {args.n}")
+    _check_n("verify", args.n, 1)
     if args.mode == "sample" and args.count < 0:
         raise UsageError(f"sample count must be >= 0, got {args.count}")
     report = verify_bounds(
@@ -338,7 +343,6 @@ def main(argv: list[str] | None = None) -> int:
         return EX_DATAERR
     except (
         TooManyVariablesError,
-        EnumerationCapError,
         BudgetExceededError,
         ValueError,
     ) as exc:

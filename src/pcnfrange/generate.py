@@ -11,7 +11,6 @@ elsewhere.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -244,24 +243,38 @@ class _Bitmaps(dict):
         return bm
 
 
-class _Draw:
-    """A sampled formula: iterating it yields its clause bitmaps, built on
-    first use, so a formula whose models run out early builds no more."""
-
-    __slots__ = ("indices", "bitmaps")
-
-    def __init__(self, indices, bitmaps):
-        self.indices, self.bitmaps = indices, bitmaps
-
-    def __iter__(self):
-        return map(self.bitmaps.__getitem__, self.indices)
+def _walk(row, size, full):
+    # Every size-subset of row's indices, depth first in lexicographic order,
+    # as (formulas covered, model bitmap, clause indices).  A prefix whose AND
+    # is 0 stands for all its completions and is not descended: adding
+    # clauses only removes models.  Iterative, since a path can be f(n) deep.
+    m = len(row)
+    path, accs, i = [], [full], 0
+    while True:
+        j = len(path)
+        if j == size:
+            yield 1, accs[-1], tuple(path)
+        elif i <= m - size + j:
+            acc = accs[-1] & row[i]
+            if acc:
+                path.append(i)
+                accs.append(acc)
+            else:
+                yield comb(m - i - 1, size - j - 1), 0, None
+            i += 1
+            continue
+        if not path:
+            return
+        i = path.pop() + 1
+        accs.pop()
 
 
 def _campaign(bitmaps, ranges, mode, sample_count, seed, budget):
-    # Yields (stratum, clause count, formulas) in campaign order, each formula
-    # an iterable of clause bitmaps.  Exhaustive mode builds every bitmap
-    # up front; sampling builds them as the formulas are read.
+    # Yields (stratum, clause count, outcomes) in campaign order, each outcome
+    # a (formulas covered, model bitmap, clause indices) triple.  Exhaustive
+    # mode builds every bitmap up front; sampling builds them as it ANDs them.
     m = len(bitmaps.universe)
+    full = (1 << (1 << bitmaps.n)) - 1
     if mode is VerifyMode.EXHAUSTIVE:
         total = sum(comb(m, size) for _, lo, hi in ranges for size in range(lo, hi + 1))
         if total > budget:
@@ -272,16 +285,21 @@ def _campaign(bitmaps, ranges, mode, sample_count, seed, budget):
         row = [bitmaps[i] for i in range(m)]
         for name, lo, hi in ranges:
             for size in range(lo, hi + 1):
-                yield name, size, itertools.combinations(row, size)
+                yield name, size, _walk(row, size, full)
         return
     rng = random.Random(seed)
     lo = min(r[1] for r in ranges)
     hi = max(r[2] for r in ranges)
     for _ in range(sample_count):
         size = rng.randint(lo, hi)
-        draw = _Draw(_sample_indices(rng, m, size), bitmaps)
+        indices = _sample_indices(rng, m, size)
+        acc = full
+        for i in indices:
+            acc &= bitmaps[i]
+            if not acc:
+                break
         name = next(nm for nm, rlo, rhi in ranges if rlo <= size <= rhi)
-        yield name, size, (draw,)
+        yield name, size, ((1, acc, indices),)
 
 
 def verify_bounds(
@@ -297,9 +315,10 @@ def verify_bounds(
 ) -> VerificationReport:
     """Check the clause-count bound claims against the oracle.
 
-    Exhaustive mode enumerates every formula of every clause count in the
+    Exhaustive mode covers every formula of every clause count in the
     selected strata (natural range: g < M <= f, expecting at most one model;
-    beyond f: M > f, expecting none) and refuses to start past ``budget``
+    beyond f: M > f, expecting none), a clause prefix with no common model
+    standing for all its completions, and refuses to start past ``budget``
     formulas.  Sample mode draws ``sample_count`` seeded random formulas with
     clause counts uniform over the selected strata.  The report also records
     tightness: the extremal constructions hit f(n) and g(n) exactly.
@@ -310,40 +329,28 @@ def verify_bounds(
     if not ranges:
         raise ValueError("no strata selected")
 
-    full = (1 << (1 << n)) - 1
     bitmaps = _Bitmaps(universe, n)
     # per stratum: formulas checked, most models seen, counterexamples
     tallies = {name: [0, 0, []] for name, _, _ in ranges}
     campaign = _campaign(bitmaps, ranges, mode, sample_count, seed, budget)
-    for name, size, formulas in campaign:
+    for name, size, outcomes in campaign:
         ceiling = _MODEL_CEILING[name]
         tally = tallies[name]
-        checked = max_models = 0
-        for checked, formula in enumerate(formulas, 1):
-            acc = full
-            for bm in formula:
-                acc &= bm
-                if not acc:
-                    break
+        for covered, acc, indices in outcomes:
+            tally[0] += covered
             if acc:
                 models = acc.bit_count()
-                if models > max_models:
-                    max_models = models
+                if models > tally[1]:
+                    tally[1] = models
                 if models > ceiling:
-                    # distinct clauses have distinct falsifying subcubes,
-                    # hence bitmaps
-                    index_of = {bm: i for i, bm in bitmaps.items()}
                     tally[2].append(
                         Counterexample(
                             stratum=name,
                             num_clauses=size,
-                            clause_indices=tuple(index_of[bm] for bm in formula),
+                            clause_indices=tuple(indices),
                             model_count=models,
                         )
                     )
-        tally[0] += checked
-        if max_models > tally[1]:
-            tally[1] = max_models
 
     return VerificationReport(
         n=n,

@@ -8,6 +8,7 @@ propagation.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .formula import Clause, PcnfFormula, RawCnf, literal_masks
@@ -45,14 +46,15 @@ def normalize(raw: RawCnf) -> tuple[PcnfFormula, NormalizationStats]:
 
     Raises EmptyClauseError if the input contains an empty clause.
     """
+    n = raw.num_vars
     dup_literals = 0
     tautologies = 0
-    dup_clauses = 0
     scanned = 0
 
-    # (width, pos, neg) triples: sorting them gives the canonical clause
-    # order before any Clause is built.
-    seen: set[tuple[int, int, int]] = set()
+    # One int pos << n | neg per clause, in one set per width: within a width
+    # the ints sort in (pos, neg) order, so sorting them gives the canonical
+    # clause order before any Clause is built.
+    by_width: defaultdict[int, set[int]] = defaultdict(set)
     for clause in raw.clauses:
         if not clause:
             raise EmptyClauseError("input contains an empty clause")
@@ -65,13 +67,13 @@ def normalize(raw: RawCnf) -> tuple[PcnfFormula, NormalizationStats]:
         if pos & neg:
             tautologies += 1
             continue
-        key = (width, pos, neg)
-        if key in seen:
-            dup_clauses += 1
-            continue
-        seen.add(key)
+        by_width[width].add(pos << n | neg)
 
-    ordered = tuple(Clause(p, q) for _, p, q in sorted(seen))
+    low = (1 << n) - 1
+    ordered = tuple(
+        Clause(k >> n, k & low) for w in sorted(by_width) for k in sorted(by_width[w])
+    )
+    dup_clauses = len(raw.clauses) - tautologies - len(ordered)
     stats = NormalizationStats(
         duplicate_literals_removed=dup_literals,
         tautological_clauses_dropped=tautologies,

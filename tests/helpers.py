@@ -1,6 +1,7 @@
 """Shared test builders: a compact clause DSL, the golden 17-clause formula,
-and the independent references `naive_model_set` (for the oracle) and
-`naive_census` (for the occurrence census).
+and the independent references `naive_model_set` (for the oracle),
+`naive_census` (for the occurrence census) and `naive_strata` (for the
+exhaustive verify campaign).
 
 ``cl("a ~b c")`` builds a clause from space-separated letters, ``~`` (or
 ``-``) marking negation; ``pf(n, "a, ~b, a b")`` builds a formula from
@@ -8,10 +9,20 @@ comma-separated clauses.
 """
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 from typing import Sequence
 
-from pcnfrange import Clause, OccurrenceCensus, PcnfFormula, RawCnf
+from pcnfrange import (
+    Clause,
+    Counterexample,
+    OccurrenceCensus,
+    PcnfFormula,
+    RawCnf,
+    StratumReport,
+    enumerate_clauses,
+    model_bitmap,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_CNF = FIXTURES / "detector_blind_n3_m17.cnf"
@@ -94,3 +105,31 @@ def naive_census(formula: PcnfFormula) -> OccurrenceCensus:
                 v = digits.find("1", v + 1)
     totals = tuple(p + q for p, q in zip(pos, neg))
     return OccurrenceCensus(totals, tuple(pos), tuple(neg))
+
+
+def naive_strata(
+    n: int, ranges: Sequence[tuple[str, int, int]]
+) -> tuple[StratumReport, ...]:
+    """The stratum reports of an exhaustive `verify_bounds` campaign, one
+    formula at a time: every ``itertools.combinations`` subset of the
+    universe for each clause count in each ``(name, lo, hi)`` range, its
+    models counted by `model_bitmap`.
+
+    Slow by design and sharing no code with the campaign's walk; exists to
+    check its pruning and its counterexample order.
+    """
+    universe = enumerate_clauses(n)
+    ceiling = {"natural_range": 1, "beyond_f": 0}
+    reports = []
+    for name, lo, hi in ranges:
+        checked = most = 0
+        found = []
+        for size in range(lo, hi + 1):
+            for indices in itertools.combinations(range(len(universe)), size):
+                models = model_bitmap(n, map(universe.__getitem__, indices)).bit_count()
+                checked += 1
+                most = max(most, models)
+                if models > ceiling[name]:
+                    found.append(Counterexample(name, size, indices, models))
+        reports.append(StratumReport(name, lo, hi, checked, most, tuple(found)))
+    return tuple(reports)

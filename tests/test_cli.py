@@ -134,6 +134,9 @@ def test_usage_error_exits_64(capsys):
         (("generate", "--construction", "all", "--n", "0"), "n >= 1"),
         (("generate", "--construction", "double-sat", "--n", "1"), "n >= 2"),
         (("verify", "--n", "3", "--mode", "sample", "--count", "-5"), "count must be >= 0"),
+        (("verify", "--n", "13", "--mode", "sample"), "enumeration cap of n=12"),
+        (("generate", "--construction", "all", "--n", "13"), "enumeration cap of n=12"),
+        (("generate", "--construction", "double-sat", "--n", "13"), "enumeration cap of n=12"),
     ],
 )
 def test_bad_argument_values_exit_64(capsys, argv, message):

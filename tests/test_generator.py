@@ -23,7 +23,7 @@ from pcnfrange import (
 )
 from pcnfrange.generate import EnumerationCapError, _sample_indices
 
-from tests.helpers import cl
+from tests.helpers import cl, naive_strata
 
 
 def width_histogram(clauses):
@@ -293,3 +293,101 @@ def test_verify_reports_reproducible_counterexamples(monkeypatch, mode, kwargs):
             clauses = [universe[i] for i in ce.clause_indices]
             assert model_bitmap(2, clauses).bit_count() == ce.model_count
             assert ce.model_count > ceiling[stratum.name]
+
+
+def _lower_bounds(monkeypatch, n, f_by, g_by):
+    true = bounds_for(n)
+    lowered = dataclasses.replace(true, f=true.f - f_by, g=true.g - g_by)
+    monkeypatch.setattr("pcnfrange.generate.bounds_for", lambda n: lowered)
+    return lowered
+
+
+@pytest.mark.parametrize(
+    "n, lowered_by, natural",
+    # At n=1 with f and g lowered by two the natural range would be M in
+    # [-1, -1], which no campaign can enumerate, so only beyond-f runs.
+    [(1, 0, True), (2, 0, True), (1, 2, False), (2, 2, True)],
+)
+def test_verify_exhaustive_matches_brute_force(monkeypatch, n, lowered_by, natural):
+    # The walk prunes a prefix with no common model and counts its
+    # completions; the reference checks every formula on its own.
+    table = _lower_bounds(monkeypatch, n, lowered_by, lowered_by)
+    ranges = [("beyond_f", table.f + 1, table.m)]
+    if natural:
+        ranges.insert(0, ("natural_range", table.g + 1, table.f))
+    report = verify_bounds(n, VerifyMode.EXHAUSTIVE, include_natural_range=natural)
+    assert report.strata == naive_strata(n, ranges)
+    assert report.ok == (lowered_by == 0)
+
+
+def test_verify_exhaustive_beyond_lowered_f_finds_the_max_sat_formulas(monkeypatch):
+    # With f(3) lowered by one, beyond f starts at M = 19 = f(3): exactly the
+    # 8 max-sat formulas, one per witness, have a model, in index order.
+    table = _lower_bounds(monkeypatch, 3, 1, 0)
+    report = verify_bounds(3, VerifyMode.EXHAUSTIVE, include_natural_range=False)
+    assert report.strata == naive_strata(3, [("beyond_f", table.f + 1, table.m)])
+    universe = enumerate_clauses(3)
+    max_sat = sorted(
+        tuple(i for i, c in enumerate(universe) if clause_satisfied(c, w))
+        for w in range(8)
+    )
+    found = report.strata[0].counterexamples
+    assert [ce.clause_indices for ce in found] == max_sat
+    assert {(ce.num_clauses, ce.model_count) for ce in found} == {(19, 1)}
+
+
+def test_verify_exhaustive_natural_range_n3():
+    report = verify_bounds(
+        3, VerifyMode.EXHAUSTIVE, include_beyond_f=False, budget=11_000_000
+    )
+    (natural,) = report.strata
+    assert natural.formulas_checked == 10_656_360 == sum(comb(26, k) for k in range(16, 20))
+    assert natural.max_models_seen == 1
+    assert natural.counterexamples == ()
+    assert report.ok
+
+
+# Every counterexample of the seeded sample campaign below, as
+# (stratum, num_clauses, clause_indices, model_count), in report order.
+_SAMPLE_SEED_4_COUNTEREXAMPLES = [
+    ("natural_range", 3, (1, 4, 5), 2),
+    ("natural_range", 2, (1, 5), 2),
+    ("natural_range", 2, (2, 7), 2),
+    ("natural_range", 2, (1, 4), 2),
+    ("natural_range", 3, (2, 5, 7), 2),
+    ("natural_range", 2, (1, 5), 2),
+    ("natural_range", 2, (1, 4), 2),
+    ("natural_range", 2, (3, 7), 2),
+    ("natural_range", 2, (4, 5), 2),
+    ("natural_range", 2, (4, 6), 2),
+    ("natural_range", 2, (1, 5), 2),
+    ("natural_range", 2, (4, 6), 2),
+    ("natural_range", 2, (0, 6), 2),
+    ("beyond_f", 4, (3, 4, 6, 7), 1),
+    ("beyond_f", 4, (1, 4, 5, 7), 1),
+    ("beyond_f", 4, (0, 1, 4, 6), 1),
+    ("beyond_f", 5, (1, 2, 4, 5, 7), 1),
+    ("beyond_f", 4, (3, 5, 6, 7), 1),
+    ("beyond_f", 5, (1, 2, 4, 5, 7), 1),
+    ("beyond_f", 4, (0, 1, 4, 5), 1),
+    ("beyond_f", 4, (2, 4, 5, 7), 1),
+    ("beyond_f", 4, (3, 5, 6, 7), 1),
+    ("beyond_f", 4, (0, 4, 6, 7), 1),
+    ("beyond_f", 4, (1, 4, 5, 7), 1),
+    ("beyond_f", 5, (1, 2, 4, 5, 7), 1),
+    ("beyond_f", 4, (2, 3, 5, 7), 1),
+    ("beyond_f", 4, (1, 2, 5, 7), 1),
+    ("beyond_f", 4, (2, 4, 5, 7), 1),
+    ("beyond_f", 4, (0, 4, 5, 6), 1),
+]
+
+
+def test_verify_sample_stream_is_pinned(monkeypatch):
+    _lower_bounds(monkeypatch, 2, 2, 2)
+    report = verify_bounds(2, VerifyMode.SAMPLE, sample_count=300, seed=4)
+    assert [s.formulas_checked for s in report.strata] == [70, 230]
+    assert [
+        (ce.stratum, ce.num_clauses, ce.clause_indices, ce.model_count)
+        for s in report.strata
+        for ce in s.counterexamples
+    ] == _SAMPLE_SEED_4_COUNTEREXAMPLES

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcnfrange import (
+    Clause,
     EmptyClauseError,
     RawCnf,
     normalize,
     raw_model_bitmap,
 )
+from pcnfrange.formula import clause_sort_key
 
 from tests.helpers import cl, raw
 
@@ -85,6 +87,21 @@ def test_model_set_preserved_on_random_inputs():
         before = raw_model_bitmap(n, r.clauses)
         after = raw_model_bitmap(n, [c.literals() for c in f.clauses])
         assert before == after
+
+
+def test_output_is_the_sorted_distinct_clauses():
+    # Widths arrive interleaved; at n=1000 the masks span many machine words.
+    rng = random.Random(7)
+    for n in (3, 12, 1000):
+        for _ in range(300):
+            r = _random_raw(rng, n)
+            f, stats = normalize(r)
+            distinct = {
+                Clause.from_literals(c) for c in r.clauses if not {-x for x in c} & set(c)
+            }
+            assert f.clauses == tuple(sorted(distinct, key=clause_sort_key))
+            kept = len(r.clauses) - stats.tautological_clauses_dropped
+            assert stats.duplicate_clauses_dropped == kept - len(distinct)
 
 
 @settings(max_examples=200)

@@ -222,6 +222,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_n("verify", args.n, 1)
     if args.mode == "sample" and args.count < 0:
         raise UsageError(f"sample count must be >= 0, got {args.count}")
+    if args.budget < 0:
+        raise UsageError(f"budget must be >= 0, got {args.budget}")
     report = verify_bounds(
         args.n,
         VerifyMode(args.mode),

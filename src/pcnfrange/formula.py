@@ -14,7 +14,7 @@ concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 #: An assignment is an int whose bit i holds the truth value of variable i.
 Assignment = int
@@ -122,6 +122,24 @@ class Clause:
 def clause_sort_key(clause: Clause) -> tuple[int, int, int]:
     """Canonical clause order: by width, then positive mask, then negative."""
     return (clause.width, clause.pos_mask, clause.neg_mask)
+
+
+def canonical_clauses(
+    n: int, keys_by_width: Mapping[int, Iterable[int]]
+) -> tuple[Clause, ...]:
+    """Clauses in canonical order from their ints ``pos << n | neg``.
+
+    ``keys_by_width`` maps each width to its clauses' ints, with no repeats.
+    Within one width the ints sort in (pos, neg) order, so sorting each
+    width's ints gives `clause_sort_key` order without building a tuple
+    per clause.
+    """
+    low = (1 << n) - 1
+    return tuple(
+        Clause(k >> n, k & low)
+        for w in sorted(keys_by_width)
+        for k in sorted(keys_by_width[w])
+    )
 
 
 def clause_satisfied(clause: Clause, assignment: Assignment) -> bool:

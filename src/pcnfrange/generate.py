@@ -11,14 +11,24 @@ elsewhere.
 """
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate, filterfalse
 from math import comb
+from typing import Iterable
 
 from .bounds import BoundsTable, bounds_for
-from .formula import Assignment, Clause, PcnfFormula, all_true, clause_satisfied
+from .formula import (
+    Assignment,
+    Clause,
+    PcnfFormula,
+    all_true,
+    canonical_clauses,
+    clause_satisfied,
+)
 from .oracle import clause_bitmap, solve
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -43,19 +53,27 @@ class VerifyMode(Enum):
 
 @lru_cache(maxsize=4)
 def _universe(n: int) -> tuple[Clause, ...]:
-    # (pos, neg) over every polarity split of every nonempty variable subset,
-    # then canonical order: (width, pos_mask, neg_mask).
-    triples = []
-    for occ in range(1, 1 << n):
-        width = occ.bit_count()
-        sub = occ
-        while True:
-            triples.append((width, sub, occ ^ sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & occ
-    triples.sort()
-    return tuple(Clause(pos, neg) for _, pos, neg in triples)
+    # Every polarity split of every nonempty variable subset, keyed
+    # pos << n | neg per width.  Up to 531k clauses and nothing cyclic among
+    # them, so the cyclic collector is paused while they are built, and its
+    # deferred young-generation pass runs here, not in the caller's next loop.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        by_width: dict[int, list[int]] = {w: [] for w in range(1, n + 1)}
+        for occ in range(1, 1 << n):
+            keys = by_width[occ.bit_count()]
+            sub = occ
+            while True:
+                keys.append(sub << n | occ ^ sub)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & occ
+        return canonical_clauses(n, by_width)
+    finally:
+        if was_enabled:
+            gc.enable()
+            gc.collect(1)
 
 
 def enumerate_clauses(
@@ -106,11 +124,11 @@ def double_sat_construction(
     return PcnfFormula(n, clauses)
 
 
-def _sample_indices(rng: random.Random, population: int, k: int) -> list[int]:
+def _draw(rng: random.Random, population: int, k: int) -> tuple[set[int], bool]:
     # Without-replacement scheme, deterministic for a seeded Mersenne-Twister
     # rng: draw min(k, population-k) distinct indices, each by rejection on
-    # getrandbits(bit_length(population)), take the complement when that was
-    # the smaller side, return sorted.
+    # getrandbits(bit_length(population)).  Returns them and whether the
+    # sample is their complement, when that was the smaller side.
     if not 0 <= k <= population:
         raise ValueError(f"cannot draw {k} of {population}")
     target = min(k, population - k)
@@ -122,9 +140,20 @@ def _sample_indices(rng: random.Random, population: int, k: int) -> list[int]:
         v = getrandbits(nbits)
         if v < population:
             add(v)
-    if target != k:
-        return [i for i in range(population) if i not in chosen]
+    return chosen, target != k
+
+
+def _ascending(population: int, chosen: set[int], complement: bool) -> Iterable[int]:
+    # A drawn sample's indices in ascending order; a complement lazily, since
+    # a campaign's AND usually reaches 0 after its first few clauses.
+    if complement:
+        return filterfalse(chosen.__contains__, range(population))
     return sorted(chosen)
+
+
+def _sample_indices(rng: random.Random, population: int, k: int) -> list[int]:
+    # The sorted indices of a seeded k-subset of range(population).
+    return list(_ascending(population, *_draw(rng, population, k)))
 
 
 def sample_pcnf(n: int, m_clauses: int, seed: int) -> PcnfFormula:
@@ -269,19 +298,13 @@ def _walk(row, size, full):
         accs.pop()
 
 
-def _campaign(bitmaps, ranges, mode, sample_count, seed, budget):
+def _campaign(bitmaps, ranges, mode, sample_count, seed):
     # Yields (stratum, clause count, outcomes) in campaign order, each outcome
     # a (formulas covered, model bitmap, clause indices) triple.  Exhaustive
     # mode builds every bitmap up front; sampling builds them as it ANDs them.
     m = len(bitmaps.universe)
     full = (1 << (1 << bitmaps.n)) - 1
     if mode is VerifyMode.EXHAUSTIVE:
-        total = sum(comb(m, size) for _, lo, hi in ranges for size in range(lo, hi + 1))
-        if total > budget:
-            raise BudgetExceededError(
-                f"exhaustive campaign would check {total} formulas "
-                f"(budget {budget}); raise the budget to opt in"
-            )
         row = [bitmaps[i] for i in range(m)]
         for name, lo, hi in ranges:
             for size in range(lo, hi + 1):
@@ -292,12 +315,14 @@ def _campaign(bitmaps, ranges, mode, sample_count, seed, budget):
     hi = max(r[2] for r in ranges)
     for _ in range(sample_count):
         size = rng.randint(lo, hi)
-        indices = _sample_indices(rng, m, size)
+        drawn = _draw(rng, m, size)
         acc = full
-        for i in indices:
+        for i in _ascending(m, *drawn):
             acc &= bitmaps[i]
             if not acc:
                 break
+        # Only a formula with a model may need its clause indices listed.
+        indices = _ascending(m, *drawn) if acc else None
         name = next(nm for nm, rlo, rhi in ranges if rlo <= size <= rhi)
         yield name, size, ((1, acc, indices),)
 
@@ -324,15 +349,23 @@ def verify_bounds(
     tightness: the extremal constructions hit f(n) and g(n) exactly.
     """
     table = bounds_for(n)
-    universe = enumerate_clauses(n, cap=enumeration_cap)
     ranges = _strata_ranges(table, include_beyond_f, include_natural_range)
     if not ranges:
         raise ValueError("no strata selected")
+    if mode is VerifyMode.EXHAUSTIVE:
+        # Stop summing once past the budget: at n=12 the exact total is a sum
+        # of 6,143 binomials of up to 14,500 digits each.
+        sizes = (s for _, lo, hi in ranges for s in range(lo, hi + 1))
+        if any(t > budget for t in accumulate(comb(table.m, s) for s in sizes)):
+            raise BudgetExceededError(
+                f"exhaustive campaign would check more than {budget} formulas; "
+                "raise the budget to opt in"
+            )
 
-    bitmaps = _Bitmaps(universe, n)
+    bitmaps = _Bitmaps(enumerate_clauses(n, cap=enumeration_cap), n)
     # per stratum: formulas checked, most models seen, counterexamples
     tallies = {name: [0, 0, []] for name, _, _ in ranges}
-    campaign = _campaign(bitmaps, ranges, mode, sample_count, seed, budget)
+    campaign = _campaign(bitmaps, ranges, mode, sample_count, seed)
     for name, size, outcomes in campaign:
         ceiling = _MODEL_CEILING[name]
         tally = tallies[name]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .formula import Clause, PcnfFormula, RawCnf, literal_masks
+from .formula import PcnfFormula, RawCnf, canonical_clauses, literal_masks
 
 
 class EmptyClauseError(ValueError):
@@ -51,9 +51,8 @@ def normalize(raw: RawCnf) -> tuple[PcnfFormula, NormalizationStats]:
     tautologies = 0
     scanned = 0
 
-    # One int pos << n | neg per clause, in one set per width: within a width
-    # the ints sort in (pos, neg) order, so sorting them gives the canonical
-    # clause order before any Clause is built.
+    # One int pos << n | neg per clause, in one set per width, which
+    # `canonical_clauses` sorts into the canonical clause order.
     by_width: defaultdict[int, set[int]] = defaultdict(set)
     for clause in raw.clauses:
         if not clause:
@@ -69,10 +68,7 @@ def normalize(raw: RawCnf) -> tuple[PcnfFormula, NormalizationStats]:
             continue
         by_width[width].add(pos << n | neg)
 
-    low = (1 << n) - 1
-    ordered = tuple(
-        Clause(k >> n, k & low) for w in sorted(by_width) for k in sorted(by_width[w])
-    )
+    ordered = canonical_clauses(n, by_width)
     dup_clauses = len(raw.clauses) - tautologies - len(ordered)
     stats = NormalizationStats(
         duplicate_literals_removed=dup_literals,

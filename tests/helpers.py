@@ -1,7 +1,8 @@
 """Shared test builders: a compact clause DSL, the golden 17-clause formula,
 and the independent references `naive_model_set` (for the oracle),
-`naive_census` (for the occurrence census) and `naive_strata` (for the
-exhaustive verify campaign).
+`naive_census` (for the occurrence census), `naive_universe` (for the
+clause enumeration) and `naive_strata` (for the exhaustive verify
+campaign).
 
 ``cl("a ~b c")`` builds a clause from space-separated letters, ``~`` (or
 ``-``) marking negation; ``pf(n, "a, ~b, a b")`` builds a formula from
@@ -23,6 +24,7 @@ from pcnfrange import (
     enumerate_clauses,
     model_bitmap,
 )
+from pcnfrange.formula import clause_sort_key
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_CNF = FIXTURES / "detector_blind_n3_m17.cnf"
@@ -105,6 +107,22 @@ def naive_census(formula: PcnfFormula) -> OccurrenceCensus:
                 v = digits.find("1", v + 1)
     totals = tuple(p + q for p, q in zip(pos, neg))
     return OccurrenceCensus(totals, tuple(pos), tuple(neg))
+
+
+def naive_universe(n: int) -> tuple[Clause, ...]:
+    """Every disjoint (pos, neg) mask pair with a bit set, sorted by
+    `clause_sort_key`.
+
+    Slow by design and sharing no code with the enumeration's per-width int
+    keys; exists to check them.
+    """
+    clauses = (
+        Clause(pos, neg)
+        for pos in range(1 << n)
+        for neg in range(1 << n)
+        if not pos & neg and pos | neg
+    )
+    return tuple(sorted(clauses, key=clause_sort_key))
 
 
 def naive_strata(

@@ -137,6 +137,7 @@ def test_usage_error_exits_64(capsys):
         (("verify", "--n", "13", "--mode", "sample"), "enumeration cap of n=12"),
         (("generate", "--construction", "all", "--n", "13"), "enumeration cap of n=12"),
         (("generate", "--construction", "double-sat", "--n", "13"), "enumeration cap of n=12"),
+        (("verify", "--n", "3", "--mode", "exhaustive", "--budget", "-5"), "budget must be >= 0"),
     ],
 )
 def test_bad_argument_values_exit_64(capsys, argv, message):
@@ -297,6 +298,15 @@ def test_verify_budget_exceeded(capsys):
     )
     assert code == 65
     assert "budget" in err
+
+
+def test_verify_budget_refusal_past_the_digit_limit(capsys):
+    # The exact formula total at n=11 has more than 4,300 digits.
+    code, out, err = run(capsys, "verify", "--n", "11", "--mode", "exhaustive")
+    assert code == 65
+    assert out == ""
+    assert "budget" in err
+    assert "digits" not in err
 
 
 def test_oracle_cap_env_var(capsys, monkeypatch):

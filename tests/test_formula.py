@@ -14,7 +14,12 @@ from pcnfrange import (
     enumerate_clauses,
 )
 from pcnfrange import formula as formula_module
-from pcnfrange.formula import bit_indices, clause_sort_key, literal_masks
+from pcnfrange.formula import (
+    bit_indices,
+    canonical_clauses,
+    clause_sort_key,
+    literal_masks,
+)
 
 from tests.helpers import cl
 
@@ -130,6 +135,16 @@ def test_from_clauses_sorts_canonically():
     assert [clause_sort_key(c) for c in f.clauses] == sorted(
         clause_sort_key(c) for c in f.clauses
     )
+
+
+def test_canonical_clauses_sorts_mixed_widths_given_out_of_order():
+    clauses = [cl("a b ~c"), cl("~a ~b ~c"), cl("a"), cl("~b"), cl("a ~c"), cl("~a b")]
+    keys_by_width = {}
+    for c in clauses:
+        keys_by_width.setdefault(c.width, []).append(c.pos_mask << 3 | c.neg_mask)
+    assert list(keys_by_width) == [3, 1, 2]
+    assert canonical_clauses(3, keys_by_width) == tuple(sorted(clauses, key=clause_sort_key))
+    assert canonical_clauses(3, {}) == ()
 
 
 def test_from_clauses_rejects_duplicates():

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 from math import comb
 
@@ -21,9 +22,9 @@ from pcnfrange import (
     solve,
     verify_bounds,
 )
-from pcnfrange.generate import EnumerationCapError, _sample_indices
+from pcnfrange.generate import EnumerationCapError, _sample_indices, _universe
 
-from tests.helpers import cl, naive_strata
+from tests.helpers import cl, naive_strata, naive_universe
 
 
 def width_histogram(clauses):
@@ -63,6 +64,31 @@ def test_universe_is_canonically_ordered_and_duplicate_free():
         keys = [(c.width, c.pos_mask, c.neg_mask) for c in universe]
         assert keys == sorted(keys)
         assert len(set(universe)) == len(universe)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_universe_matches_the_naive_enumeration(n):
+    assert enumerate_clauses(n) == naive_universe(n)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_universe_build_leaves_the_collector_as_it_found_it(enabled):
+    # The build pauses the cyclic collector; a caller's setting survives it.
+    was_enabled = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        for n in range(1, 7):
+            _universe.cache_clear()
+            enumerate_clauses(n)
+            assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 def test_enumeration_cap():
@@ -252,6 +278,17 @@ def test_verify_budget_refusal():
         verify_bounds(3, VerifyMode.EXHAUSTIVE, budget=100_000)
 
 
+def test_verify_budget_refusal_builds_no_universe(monkeypatch):
+    # The refusal needs only m(n); at n=12 building the universe takes a
+    # second and summing the exact total took longer.
+    def no_universe(*args, **kwargs):
+        raise AssertionError("the universe was built before the budget check")
+
+    monkeypatch.setattr("pcnfrange.generate.enumerate_clauses", no_universe)
+    with pytest.raises(BudgetExceededError, match="more than 10000000 formulas"):
+        verify_bounds(12, VerifyMode.EXHAUSTIVE)
+
+
 def test_verify_single_stratum_selection():
     report = verify_bounds(3, VerifyMode.EXHAUSTIVE, include_natural_range=False)
     assert [s.name for s in report.strata] == ["beyond_f"]
@@ -382,12 +419,29 @@ _SAMPLE_SEED_4_COUNTEREXAMPLES = [
 ]
 
 
+def _sample_stream(monkeypatch, n, count, seed):
+    # Per-stratum counts and maxima, and every counterexample as (stratum,
+    # num_clauses, clause_indices, model_count), with f and g lowered by two.
+    _lower_bounds(monkeypatch, n, 2, 2)
+    report = verify_bounds(n, VerifyMode.SAMPLE, sample_count=count, seed=seed)
+    return (
+        [s.formulas_checked for s in report.strata],
+        [s.max_models_seen for s in report.strata],
+        [
+            (ce.stratum, ce.num_clauses, ce.clause_indices, ce.model_count)
+            for s in report.strata
+            for ce in s.counterexamples
+        ],
+    )
+
+
 def test_verify_sample_stream_is_pinned(monkeypatch):
-    _lower_bounds(monkeypatch, 2, 2, 2)
-    report = verify_bounds(2, VerifyMode.SAMPLE, sample_count=300, seed=4)
-    assert [s.formulas_checked for s in report.strata] == [70, 230]
-    assert [
-        (ce.stratum, ce.num_clauses, ce.clause_indices, ce.model_count)
-        for s in report.strata
-        for ce in s.counterexamples
-    ] == _SAMPLE_SEED_4_COUNTEREXAMPLES
+    assert _sample_stream(monkeypatch, 2, 300, 4) == (
+        [70, 230], [2, 1], _SAMPLE_SEED_4_COUNTEREXAMPLES
+    )
+
+
+def test_verify_sample_stream_through_complements_is_pinned(monkeypatch):
+    # Every drawn size is in [56, 80], above m/2 = 40, so each formula is read
+    # through the complement of its draw; none of the 200 has a model.
+    assert _sample_stream(monkeypatch, 4, 200, 9) == ([65, 135], [0, 0], [])

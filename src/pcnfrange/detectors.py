@@ -95,9 +95,12 @@ class ClauseClassTable:
 
 @dataclass(frozen=True, slots=True)
 class ScreenResult:
-    """Everything the screening pipeline learned about one formula."""
+    """Everything the screening pipeline learned about one formula.  ``n`` is
+    the universe the bounds classify against; ``num_vars`` is the declared
+    one, which names the variables."""
 
     n: int
+    num_vars: int
     num_clauses: int
     bounds: BoundsTable
     range_class: RangeClass
@@ -272,6 +275,7 @@ def screen_all(
     verdict = Verdict.UNSATISFIABLE if reasons else Verdict.UNKNOWN
     return ScreenResult(
         n=effective_n,
+        num_vars=formula.num_vars,
         num_clauses=num_clauses,
         bounds=table,
         range_class=range_class,

@@ -3,7 +3,7 @@
 The parser accepts comment lines (``c ...``), one ``p cnf <vars> <clauses>``
 header, and zero-terminated clauses (which may span lines or share one).  A
 line starting with ``%`` (the SATLIB trailer) ends the clause section;
-everything after it is ignored.
+everything after it is ignored.  One leading byte-order mark is skipped.
 Literals stay the signed ints of the file.  Duplicate literals, repeated
 clauses, tautologies, and empty clauses all survive parsing untouched;
 normalization is a separate, explicit step.  A header clause count that
@@ -50,6 +50,7 @@ def parse_dimacs(text: str | bytes) -> RawCnf:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    text = text.removeprefix("\ufeff")
 
     num_vars: int | None = None
     declared_clauses: int | None = None

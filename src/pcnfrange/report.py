@@ -1,9 +1,9 @@
 """Analysis reports: verdict synthesis, the stable JSON schema, and text
 rendering.
 
-Variables are rendered as letters a, b, c, ... while n <= 26 and as 1-based
-indices beyond that.  JSON output sorts every map key and is byte-stable for
-identical inputs.
+Variables are rendered as letters a, b, c, ... while the declared universe
+has n <= 26 variables and as 1-based indices beyond that.  JSON output sorts
+every map key and is byte-stable for identical inputs.
 """
 from __future__ import annotations
 
@@ -35,8 +35,8 @@ def literal_name(index: int, negated: bool, n: int) -> str:
 
 def class_key_name(key: tuple[int, ...], n: int) -> str:
     if n <= 26:
-        return "".join(var_name(v, n) for v in key)
-    return ",".join(var_name(v, n) for v in key)
+        return "".join([chr(ord("a") + v) for v in key])
+    return ",".join([str(v + 1) for v in key])
 
 
 def render_reason(reason: Reason, n: int) -> str:
@@ -90,8 +90,7 @@ def build_report(
     Detector evidence wins (it is sound); the oracle settles what the
     detectors leave unknown.  An empty formula is satisfiable outright.
     """
-    n = screen.n
-    reasons = [render_reason(r, n) for r in screen.reasons]
+    reasons = [render_reason(r, screen.num_vars) for r in screen.reasons]
     oracle_run = oracle is not None
     if screen.verdict is Verdict.UNSATISFIABLE:
         verdict = "unsatisfiable"
@@ -109,7 +108,7 @@ def build_report(
     else:
         verdict = "unknown"
     return AnalysisReport(
-        n=n,
+        n=screen.n,
         num_clauses=screen.num_clauses,
         screen=screen,
         oracle_run=oracle_run,
@@ -126,14 +125,14 @@ def bounds_to_dict(table: BoundsTable) -> dict:
 def report_to_dict(report: AnalysisReport) -> dict:
     """The stable report schema; every numeric field an exact int."""
     screen = report.screen
-    n = report.n
+    num_vars = screen.num_vars
     table = screen.class_table
     oracle_doc: dict = {"run": report.oracle_run}
     if report.oracle_run:
         oracle_doc["model_count"] = report.oracle.model_count
     b = screen.bounds
     return {
-        "n": n,
+        "n": report.n,
         "num_clauses": report.num_clauses,
         "bounds": {"m": b.m, "f": b.f, "g": b.g, "v": b.v, "p": b.p, "q": b.q},
         "range_class": screen.range_class.value,
@@ -142,7 +141,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "clause_class": {
                 "verdict": screen.clause_class.outcome.value,
                 "C": {
-                    class_key_name(bit_indices(occ), n): count
+                    class_key_name(bit_indices(occ), num_vars): count
                     for occ, count in table.occupancy_counts.items()
                 },
                 "U": {str(width): cap for width, cap in table.ceilings.items()},

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from pcnfrange import cli
 from pcnfrange.cli import build_parser, main
 
 from tests.helpers import GOLDEN_CNF
@@ -75,6 +76,33 @@ def test_analyze_recount_vars(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["n"] == 1
     assert doc["range_class"] == "natural_range"
+
+
+def test_recount_vars_keeps_declared_names(capsys, tmp_path):
+    path = write(tmp_path, "wide.cnf", "p cnf 100 2\n51 100 0\n-51 0\n")
+    code, out, _ = run(capsys, "analyze", path, "--recount-vars")
+    doc = json.loads(out)
+    assert doc["n"] == 2
+    assert doc["detectors"]["clause_class"]["C"] == {"51": 1, "51,100": 1}
+
+
+def test_recount_vars_keeps_declared_names_in_reasons(capsys, tmp_path):
+    # all four sign patterns on variables 30 and 40 saturate their class
+    clauses = "".join(f"{a} {b} 0\n" for a in (30, -30) for b in (40, -40))
+    path = write(tmp_path, "sat40.cnf", "p cnf 40 4\n" + clauses)
+    code, out, _ = run(capsys, "analyze", path, "--recount-vars", "--text")
+    assert code == 20
+    end = out.index("\n}\n") + 3
+    assert json.loads(out[:end])["reasons"] == ["clause_class key=30,40"]
+    assert out[end:].endswith("  reason: clause_class key=30,40\n")
+
+
+def test_analyze_accepts_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.cnf"
+    path.write_bytes(b"\xef\xbb\xbfp cnf 3 1\n1 0\n")
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 10
+    assert json.loads(out)["oracle"] == {"model_count": 4, "run": True}
 
 
 def test_analyze_early_exit_flag(capsys, tmp_path):
@@ -374,3 +402,49 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 20
     assert "clause_class key=a" in json.loads(proc.stdout)["reasons"]
+
+
+@pytest.fixture
+def fresh_parser():
+    """``main``'s cached parser dropped before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_shared_parser_reads_oracle_cap_env_every_call(capsys, monkeypatch, fresh_parser):
+    monkeypatch.setenv("PCNFRANGE_ORACLE_MAX_N", "0")
+    code, out, _ = run(capsys, "analyze", str(GOLDEN_CNF))
+    assert (code, json.loads(out)["oracle"]) == (0, {"run": False})
+    monkeypatch.delenv("PCNFRANGE_ORACLE_MAX_N")
+    code, out, _ = run(capsys, "analyze", str(GOLDEN_CNF))
+    assert (code, json.loads(out)["oracle"]) == (20, {"model_count": 0, "run": True})
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["analyze"], 64, 2, "error: the following arguments are required: file"),
+        (["--help"], 0, 1, "usage: pcnfrange"),
+    ],
+)
+def test_shared_parser_after_early_exit(capsys, fresh_parser, argv, code, stream, text):
+    first = run(capsys, "bounds", "3")
+    cli._parser.cache_clear()
+    exited = run(capsys, *argv)
+    assert exited[0] == code and text in exited[stream]
+    assert run(capsys, "bounds", "3") == first
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch, fresh_parser):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for _ in range(10):
+        assert run(capsys, "bounds", "2")[0] == 0
+        assert run(capsys, "analyze", str(GOLDEN_CNF))[0] == 20
+    assert len(built) == 1

@@ -46,6 +46,17 @@ def test_parse_accepts_bytes_comments_and_split_clauses():
     assert raw.clauses == ((1, 2), (-1, -2))
 
 
+def test_parse_skips_one_byte_order_mark_in_str():
+    assert parse_dimacs("\ufeffp cnf 3 1\n1 0\n").clauses == ((1,),)
+    with pytest.raises(DimacsError, match="line 1"):
+        parse_dimacs("\ufeff\ufeffp cnf 3 1\n1 0\n")
+
+
+def test_parse_skips_byte_order_mark_in_bytes():
+    raw = parse_dimacs(b"\xef\xbb\xbfp cnf 3 1\n1 0\n")
+    assert (raw.num_vars, raw.clauses) == (3, ((1,),))
+
+
 def test_parse_records_empty_clause():
     raw = parse_dimacs("p cnf 2 2\n1 0\n0\n")
     assert raw.contains_empty_clause

@@ -16,6 +16,7 @@ from pcnfrange import (
 )
 from pcnfrange.report import (
     bounds_text,
+    class_key_name,
     render_reason,
     report_text,
     var_name,
@@ -109,6 +110,12 @@ def test_var_name_letters_then_indices():
     assert var_name(0, 3) == "a"
     assert var_name(25, 26) == "z"
     assert var_name(0, 27) == "1"
+
+
+def test_class_key_names_join_variable_names():
+    for key, n in [((0,), 1), ((0, 2, 25), 26), ((0,), 27), ((29, 39), 40), ((), 5)]:
+        sep = "" if n <= 26 else ","
+        assert class_key_name(key, n) == sep.join(var_name(v, n) for v in key)
 
 
 def test_render_reasons():

@@ -29,7 +29,7 @@ from .formula import (
     canonical_clauses,
     clause_satisfied,
 )
-from .oracle import clause_bitmap, solve
+from .oracle import clause_bitmap, model_bitmap, solve
 
 DEFAULT_ENUMERATION_CAP = 12
 DEFAULT_BUDGET = 10_000_000
@@ -229,18 +229,22 @@ class VerificationReport:
 
 def _tightness(n: int) -> TightnessReport:
     max_sat = max_sat_construction(n)
-    max_sat_models = solve(max_sat).model_count
-    if n >= 2:
-        double_sat = double_sat_construction(n)
-        double_count: int | None = len(double_sat.clauses)
-        double_models: int | None = solve(double_sat).model_count
-    else:
-        double_count = double_models = None
+    if n < 2:
+        return TightnessReport(
+            len(max_sat.clauses), solve(max_sat).model_count, None, None
+        )
+    # The max-sat formula is the double-sat one plus the 2^(n-1) clauses the
+    # flipped witness falsifies, so its models come from the double-sat
+    # bitmap and those clauses' bitmaps alone.
+    double_sat = double_sat_construction(n)
+    double_models = model_bitmap(n, double_sat.clauses)
+    flipped = all_true(n) ^ 1
+    extra = (c for c in max_sat.clauses if not clause_satisfied(c, flipped))
     return TightnessReport(
         max_sat_clause_count=len(max_sat.clauses),
-        max_sat_model_count=max_sat_models,
-        double_sat_clause_count=double_count,
-        double_sat_model_count=double_models,
+        max_sat_model_count=(double_models & model_bitmap(n, extra)).bit_count(),
+        double_sat_clause_count=len(double_sat.clauses),
+        double_sat_model_count=double_models.bit_count(),
     )
 
 
@@ -276,9 +280,10 @@ def _walk(row, size, full):
     # Every size-subset of row's indices, depth first in lexicographic order,
     # as (formulas covered, model bitmap, clause indices).  A prefix whose AND
     # is 0 stands for all its completions and is not descended: adding
-    # clauses only removes models.  Iterative, since a path can be f(n) deep.
+    # clauses only removes models.  Their count is summed and yielded once,
+    # after the leaves.  Iterative, since a path can be f(n) deep.
     m = len(row)
-    path, accs, i = [], [full], 0
+    path, accs, i, pruned = [], [full], 0, 0
     while True:
         j = len(path)
         if j == size:
@@ -289,10 +294,11 @@ def _walk(row, size, full):
                 path.append(i)
                 accs.append(acc)
             else:
-                yield comb(m - i - 1, size - j - 1), 0, None
+                pruned += comb(m - i - 1, size - j - 1)
             i += 1
             continue
         if not path:
+            yield pruned, 0, None
             return
         i = path.pop() + 1
         accs.pop()
@@ -300,8 +306,10 @@ def _walk(row, size, full):
 
 def _campaign(bitmaps, ranges, mode, sample_count, seed):
     # Yields (stratum, clause count, outcomes) in campaign order, each outcome
-    # a (formulas covered, model bitmap, clause indices) triple.  Exhaustive
-    # mode builds every bitmap up front; sampling builds them as it ANDs them.
+    # a (formulas covered, model bitmap, clause indices) triple.  Formulas
+    # with no model are only counted, each stratum's count yielded at the end
+    # of its walk or of the sample.  Exhaustive mode builds every bitmap up
+    # front; sampling builds them as it ANDs them.
     m = len(bitmaps.universe)
     full = (1 << (1 << bitmaps.n)) - 1
     if mode is VerifyMode.EXHAUSTIVE:
@@ -310,21 +318,33 @@ def _campaign(bitmaps, ranges, mode, sample_count, seed):
             for size in range(lo, hi + 1):
                 yield name, size, _walk(row, size, full)
         return
+    # The ranges are contiguous and ascending.  A clause count is drawn by
+    # rejection on getrandbits, reading what rng.randint(lo, hi) would.
     rng = random.Random(seed)
-    lo = min(r[1] for r in ranges)
-    hi = max(r[2] for r in ranges)
+    getrandbits = rng.getrandbits
+    (first, lo, first_hi), (last, _, hi) = ranges[0], ranges[-1]
+    span = hi - lo + 1
+    kbits = span.bit_length()
+    model_free = {name: 0 for name, _, _ in ranges}
     for _ in range(sample_count):
-        size = rng.randint(lo, hi)
+        size = getrandbits(kbits)
+        while size >= span:
+            size = getrandbits(kbits)
+        size += lo
+        name = first if size <= first_hi else last
         drawn = _draw(rng, m, size)
         acc = full
         for i in _ascending(m, *drawn):
             acc &= bitmaps[i]
             if not acc:
                 break
-        # Only a formula with a model may need its clause indices listed.
-        indices = _ascending(m, *drawn) if acc else None
-        name = next(nm for nm, rlo, rhi in ranges if rlo <= size <= rhi)
-        yield name, size, ((1, acc, indices),)
+        if acc:
+            # Only a formula with a model may need its clause indices listed.
+            yield name, size, ((1, acc, _ascending(m, *drawn)),)
+        else:
+            model_free[name] += 1
+    for name, lo, _ in ranges:
+        yield name, lo, ((model_free[name], 0, None),)
 
 
 def verify_bounds(

@@ -1,8 +1,8 @@
 """Shared test builders: a compact clause DSL, the golden 17-clause formula,
 and the independent references `naive_model_set` (for the oracle),
 `naive_census` (for the occurrence census), `naive_universe` (for the
-clause enumeration) and `naive_strata` (for the exhaustive verify
-campaign).
+clause enumeration), `naive_strata` (for the exhaustive verify campaign)
+and `naive_sample_strata` (for the sampled one).
 
 ``cl("a ~b c")`` builds a clause from space-separated letters, ``~`` (or
 ``-``) marking negation; ``pf(n, "a, ~b, a b")`` builds a formula from
@@ -11,6 +11,7 @@ comma-separated clauses.
 from __future__ import annotations
 
 import itertools
+import random
 from pathlib import Path
 from typing import Sequence
 
@@ -149,5 +150,51 @@ def naive_strata(
                 most = max(most, models)
                 if models > ceiling[name]:
                     found.append(Counterexample(name, size, indices, models))
+        reports.append(StratumReport(name, lo, hi, checked, most, tuple(found)))
+    return tuple(reports)
+
+
+def naive_sample_strata(
+    n: int, ranges: Sequence[tuple[str, int, int]], count: int, seed: int
+) -> tuple[StratumReport, ...]:
+    """The stratum reports of a sampled `verify_bounds` campaign, one draw at
+    a time: replays ``random.Random(seed)``, drawing each clause count with
+    ``randint`` over the union of the contiguous ``(name, lo, hi)`` ranges
+    and then its clause indices by rejection, and counts every formula's
+    models with `model_bitmap`.
+
+    Slow by design and sharing no code with the campaign's inlined count
+    draw, its index draw or its model-free counters; exists to check them.
+    """
+    universe = enumerate_clauses(n)
+    m = len(universe)
+    ceiling = {"natural_range": 1, "beyond_f": 0}
+    tallies = {name: [0, 0, []] for name, _, _ in ranges}
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randint(ranges[0][1], ranges[-1][2])
+        # Draw the smaller side of the split by rejection on
+        # getrandbits(bit_length(m)); the formula is its complement when
+        # that side is the one left out.
+        target = min(size, m - size)
+        chosen: set[int] = set()
+        while len(chosen) < target:
+            v = rng.getrandbits(m.bit_length())
+            if v < m:
+                chosen.add(v)
+        if target == size:
+            indices = tuple(sorted(chosen))
+        else:
+            indices = tuple(i for i in range(m) if i not in chosen)
+        models = model_bitmap(n, [universe[i] for i in indices]).bit_count()
+        (name,) = [nm for nm, lo, hi in ranges if lo <= size <= hi]
+        tally = tallies[name]
+        tally[0] += 1
+        tally[1] = max(tally[1], models)
+        if models > ceiling[name]:
+            tally[2].append(Counterexample(name, size, indices, models))
+    reports = []
+    for name, lo, hi in ranges:
+        checked, most, found = tallies[name]
         reports.append(StratumReport(name, lo, hi, checked, most, tuple(found)))
     return tuple(reports)

@@ -10,6 +10,8 @@ import time
 from contextlib import contextmanager
 from math import comb
 
+import pytest
+
 from pcnfrange import (
     Construction,
     RangeClass,
@@ -145,6 +147,7 @@ def test_06_tightness_of_both_bounds():
             assert solve(double_sat).model_count == 2
 
 
+@pytest.mark.slow
 def test_07_detector_soundness_campaign():
     with criterion(7, "detector-soundness"):
         cases_per_n = 8334  # 12 * 8334 >= 1e5

@@ -9,6 +9,7 @@ import pytest
 from pcnfrange import (
     BudgetExceededError,
     Construction,
+    TightnessReport,
     VerifyMode,
     all_true,
     bounds_for,
@@ -22,9 +23,16 @@ from pcnfrange import (
     solve,
     verify_bounds,
 )
-from pcnfrange.generate import EnumerationCapError, _sample_indices, _universe
+from pcnfrange.generate import (
+    EnumerationCapError,
+    _Bitmaps,
+    _sample_indices,
+    _tightness,
+    _universe,
+    _walk,
+)
 
-from tests.helpers import cl, naive_strata, naive_universe
+from tests.helpers import cl, naive_sample_strata, naive_strata, naive_universe
 
 
 def width_histogram(clauses):
@@ -307,6 +315,22 @@ def test_verify_n1_has_no_double_sat_tightness():
     assert report.tightness.double_sat_clause_count is None
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tightness_matches_the_oracle_on_both_constructions(n):
+    # _tightness reads the max-sat models off the double-sat bitmap; the
+    # oracle solves each construction whole.
+    max_sat = max_sat_construction(n)
+    expected = TightnessReport(len(max_sat.clauses), solve(max_sat).model_count, None, None)
+    if n >= 2:
+        double_sat = double_sat_construction(n)
+        expected = dataclasses.replace(
+            expected,
+            double_sat_clause_count=len(double_sat.clauses),
+            double_sat_model_count=solve(double_sat).model_count,
+        )
+    assert _tightness(n) == expected
+
+
 @pytest.mark.parametrize(
     "mode, kwargs",
     [(VerifyMode.EXHAUSTIVE, {}), (VerifyMode.SAMPLE, {"sample_count": 300, "seed": 4})],
@@ -357,6 +381,31 @@ def test_verify_exhaustive_matches_brute_force(monkeypatch, n, lowered_by, natur
     assert report.ok == (lowered_by == 0)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_walk_covers_every_formula_and_counts_the_model_free_ones_last(n):
+    # Every clause count, not just the strata's: the leaves come in strictly
+    # ascending order and one model-free count closes each walk.  Streamed,
+    # since at n = 3 and 10 clauses the walk lists 699,557 leaves.
+    universe = enumerate_clauses(n)
+    m = len(universe)
+    bitmaps = _Bitmaps(universe, n)
+    row = [bitmaps[i] for i in range(m)]
+    for size in range(m + 1):
+        covered = model_free = 0
+        last = None
+        for count, acc, indices in _walk(row, size, (1 << (1 << n)) - 1):
+            assert not model_free, "an outcome follows the model-free count"
+            covered += count
+            if acc:
+                assert count == 1 and len(indices) == size
+                assert last is None or indices > last
+                last = indices
+            else:
+                model_free = 1
+        assert model_free and covered == comb(m, size)
+
+
 def test_verify_exhaustive_beyond_lowered_f_finds_the_max_sat_formulas(monkeypatch):
     # With f(3) lowered by one, beyond f starts at M = 19 = f(3): exactly the
     # 8 max-sat formulas, one per witness, have a model, in index order.
@@ -373,6 +422,7 @@ def test_verify_exhaustive_beyond_lowered_f_finds_the_max_sat_formulas(monkeypat
     assert {(ce.num_clauses, ce.model_count) for ce in found} == {(19, 1)}
 
 
+@pytest.mark.slow
 def test_verify_exhaustive_natural_range_n3():
     report = verify_bounds(
         3, VerifyMode.EXHAUSTIVE, include_beyond_f=False, budget=11_000_000
@@ -445,3 +495,41 @@ def test_verify_sample_stream_through_complements_is_pinned(monkeypatch):
     # Every drawn size is in [56, 80], above m/2 = 40, so each formula is read
     # through the complement of its draw; none of the 200 has a model.
     assert _sample_stream(monkeypatch, 4, 200, 9) == ([65, 135], [0, 0], [])
+
+
+@pytest.mark.parametrize(
+    "selection", [{}, {"include_beyond_f": False}, {"include_natural_range": False}]
+)
+@pytest.mark.parametrize(
+    "n, lowered_by, count, seed",
+    # n = 2 and 3 with f and g lowered by two, so both strata keep models
+    # and counterexamples; n = 1, where each stratum alone spans one clause
+    # count; n = 4 with the true bounds, where draws above m/2 = 40 are read
+    # through the complement of their draw.
+    [(2, 2, 400, 11), (3, 2, 400, 12), (1, 0, 60, 13), (4, 0, 300, 14)],
+)
+def test_verify_sample_matches_the_per_draw_reference(
+    monkeypatch, n, lowered_by, count, seed, selection
+):
+    # The reference draws each clause count with randint itself, so this also
+    # fails on a Python whose randint reads the stream differently from the
+    # campaign's inlined draw.
+    table = _lower_bounds(monkeypatch, n, lowered_by, lowered_by)
+    ranges = []
+    if selection.get("include_natural_range", True):
+        ranges.append(("natural_range", table.g + 1, table.f))
+    if selection.get("include_beyond_f", True):
+        ranges.append(("beyond_f", table.f + 1, table.m))
+    report = verify_bounds(n, VerifyMode.SAMPLE, sample_count=count, seed=seed, **selection)
+    assert report.strata == naive_sample_strata(n, ranges, count, seed)
+
+
+def test_verify_sample_benchmark_call_is_pinned():
+    # The benchmark's sample call: formulas checked and most models seen per
+    # stratum, as the per-draw campaign reported them.
+    report = verify_bounds(3, VerifyMode.SAMPLE, sample_count=100_000, seed=1)
+    assert [(s.name, s.formulas_checked, s.max_models_seen) for s in report.strata] == [
+        ("natural_range", 36_543, 1),
+        ("beyond_f", 63_457, 0),
+    ]
+    assert report.ok

@@ -33,8 +33,6 @@ from enum import Enum
 from functools import lru_cache
 from math import comb
 
-from .formula import PcnfFormula
-
 
 @dataclass(frozen=True, slots=True)
 class BoundsTable:
@@ -106,18 +104,6 @@ def classify_count(n: int, num_clauses: int) -> tuple[RangeClass, BoundsTable]:
     if num_clauses > table.g:
         return RangeClass.NATURAL_RANGE, table
     return RangeClass.BELOW_RANGE, table
-
-
-def classify_range(
-    formula: PcnfFormula, n: int | None = None
-) -> tuple[RangeClass, BoundsTable]:
-    """Classify a formula by its clause count.
-
-    ``n`` defaults to the formula's declared variable universe; pass the
-    count of actually occurring variables to recount instead (the bounds are
-    extremely sensitive to n, so both conventions are exposed).
-    """
-    return classify_count(n if n is not None else formula.num_vars, len(formula.clauses))
 
 
 def clause_distribution(n: int, construction: Construction) -> tuple[int, ...]:

@@ -51,10 +51,6 @@ class DetectorVerdict:
     outcome: Verdict
     reasons: tuple[Reason, ...] = ()
 
-    @property
-    def unsatisfiable(self) -> bool:
-        return self.outcome is Verdict.UNSATISFIABLE
-
 
 @dataclass(frozen=True, slots=True)
 class OccurrenceCensus:
@@ -109,10 +105,6 @@ class ScreenResult:
     class_table: ClauseClassTable
     verdict: Verdict
     reasons: tuple[Reason, ...]
-
-    @property
-    def unsatisfiable(self) -> bool:
-        return self.verdict is Verdict.UNSATISFIABLE
 
 
 def occurrence_census(formula: PcnfFormula) -> OccurrenceCensus:

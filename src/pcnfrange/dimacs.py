@@ -4,8 +4,9 @@ The parser accepts comment lines (``c ...``), one ``p cnf <vars> <clauses>``
 header, and zero-terminated clauses (which may span lines or share one).  A
 line starting with ``%`` (the SATLIB trailer) ends the clause section;
 everything after it is ignored.  One leading byte-order mark is skipped.
-Literals stay the signed ints of the file.  Duplicate literals, repeated
-clauses, tautologies, and empty clauses all survive parsing untouched;
+A literal is an ASCII ``-?[0-9]+`` token, kept as the file's signed int, and
+a header count ASCII ``[0-9]+``.  Duplicate literals, repeated clauses,
+tautologies, and empty clauses all survive parsing untouched;
 normalization is a separate, explicit step.  A header clause count that
 disagrees with the clauses actually present is common in the wild, so it
 warns instead of failing.
@@ -69,18 +70,21 @@ def parse_dimacs(text: str | bytes) -> RawCnf:
             if num_vars is not None:
                 raise MalformedHeaderError("duplicate header", lineno)
             fields = stripped.split()
-            if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
+            counts = "".join(fields[2:]).encode()  # bytes.isdigit() is ASCII-only
+            if len(fields) != 4 or fields[:2] != ["p", "cnf"] or not counts.isdigit():
                 raise MalformedHeaderError(f"bad header {stripped!r}", lineno)
             try:
-                num_vars = int(fields[2])
-                declared_clauses = int(fields[3])
-            except ValueError:
+                num_vars, declared_clauses = map(int, fields[2:])
+            except ValueError:  # more digits than int() converts
                 raise MalformedHeaderError(f"bad header {stripped!r}", lineno) from None
-            if num_vars < 0 or declared_clauses < 0:
-                raise MalformedHeaderError(f"bad header {stripped!r}", lineno)
             continue
         if num_vars is None:
             raise MalformedHeaderError("clause before 'p cnf' header", lineno)
+        # int() also reads "1_0", "+1" and non-ASCII digits; DIMACS does not.
+        if not stripped.isascii() or "_" in stripped or "+" in stripped:
+            for token in stripped.split():
+                if not (token.isascii() and token.removeprefix("-").isdigit()):
+                    raise DimacsError(f"non-integer token {token!r}", lineno)
         for token in stripped.split():
             try:
                 lit = int(token)

@@ -4,12 +4,14 @@ A literal is a DIMACS int: variable i (0-indexed) is ``i + 1``, its
 complement ``-(i + 1)``.  Clauses carry a bit-parallel encoding: two n-bit
 masks, one for the positively occurring variables and one for the negated
 ones; `literal_masks` is the one conversion from literals to masks.  A
-clause is a valid PCNF clause when the masks are disjoint (no variable
-together with its complement) and not both empty.  Assignments are plain ints whose bit i is
-the truth value of variable i, so clause evaluation is two mask ANDs.
+clause is a valid PCNF clause when the masks are non-negative, disjoint (no
+variable together with its complement) and not both empty.  Assignments are
+plain ints whose bit i is the truth value of variable i, so clause
+evaluation is two mask ANDs.
 
-Everything here is immutable after construction and safe to share between
-concurrent workers.
+`Clause.from_literals` and `PcnfFormula.from_clauses` validate what comes in
+from outside; the direct constructors trust their arguments, which
+`canonical_clauses` builds valid by construction.
 """
 from __future__ import annotations
 
@@ -69,28 +71,20 @@ def literal_masks(literals: Iterable[int]) -> tuple[int, int]:
     return pos, neg
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen __init__ assigns through object.__setattr__, several
+# times slower, and nothing mutates a clause, because the cached clause
+# universe shares them.
+@dataclass(slots=True, unsafe_hash=True)
 class Clause:
     """A disjunction of distinct literals over distinct variables.
 
     ``pos_mask`` holds the positively occurring variables, ``neg_mask`` the
-    negated ones.  The PCNF clause rules are enforced at construction: the
-    masks are disjoint and at least one bit is set.
+    negated ones.  The constructor trusts its masks; `from_literals` and
+    `PcnfFormula.from_clauses` check the PCNF clause rules.
     """
 
     pos_mask: int
     neg_mask: int
-
-    def __post_init__(self) -> None:
-        if self.pos_mask < 0 or self.neg_mask < 0:
-            raise ValueError("clause masks must be non-negative")
-        if self.pos_mask & self.neg_mask:
-            raise ValueError(
-                "clause contains a variable and its complement "
-                f"(pos={self.pos_mask:#x}, neg={self.neg_mask:#x})"
-            )
-        if not (self.pos_mask | self.neg_mask):
-            raise ValueError("empty clause is not a PCNF clause")
 
     @property
     def occupancy(self) -> int:
@@ -116,7 +110,22 @@ class Clause:
         Raises ValueError if the literals are empty or contain a variable
         together with its complement (no PCNF clause represents either).
         """
-        return cls(*literal_masks(literals))
+        clause = cls(*literal_masks(literals))
+        _check_clause(clause)
+        return clause
+
+
+def _check_clause(clause: Clause) -> None:
+    """Raise ValueError unless the clause obeys the PCNF clause rules."""
+    pos, neg = clause.pos_mask, clause.neg_mask
+    if pos < 0 or neg < 0:
+        raise ValueError("clause masks must be non-negative")
+    if pos & neg:
+        raise ValueError(
+            f"clause contains a variable and its complement (pos={pos:#x}, neg={neg:#x})"
+        )
+    if not (pos | neg):
+        raise ValueError("empty clause is not a PCNF clause")
 
 
 def clause_sort_key(clause: Clause) -> tuple[int, int, int]:
@@ -147,11 +156,6 @@ def clause_satisfied(clause: Clause, assignment: Assignment) -> bool:
     return bool((assignment & clause.pos_mask) | (~assignment & clause.neg_mask))
 
 
-def clause_canonical_key(clause: Clause) -> tuple[int, ...]:
-    """The clause's variable set, polarity-stripped, in ascending order."""
-    return bit_indices(clause.occupancy)
-
-
 @dataclass(frozen=True, slots=True)
 class RawCnf:
     """A CNF formula as read from the outside world.
@@ -175,14 +179,6 @@ class RawCnf:
                 if not lit or abs(lit) > n:
                     raise ValueError(f"literal {lit} out of range for {n} variables")
 
-    @property
-    def contains_empty_clause(self) -> bool:
-        return any(len(clause) == 0 for clause in self.clauses)
-
-    @property
-    def total_literals(self) -> int:
-        return sum(len(clause) for clause in self.clauses)
-
 
 @dataclass(frozen=True, slots=True)
 class PcnfFormula:
@@ -203,14 +199,15 @@ class PcnfFormula:
     ) -> "PcnfFormula":
         """Validate, canonically sort, and wrap a clause collection.
 
-        Raises ValueError on a negative variable count, out-of-range
-        variables, or repeated clauses.
+        Raises ValueError on a negative variable count, a clause that breaks
+        the PCNF clause rules, out-of-range variables, or repeated clauses.
         """
         if num_vars < 0:
             raise ValueError(f"num_vars must be non-negative, got {num_vars}")
         ordered = sorted(clauses, key=clause_sort_key)
         universe = (1 << num_vars) - 1
         for i, clause in enumerate(ordered):
+            _check_clause(clause)
             if clause.occupancy & ~universe:
                 raise ValueError(
                     f"clause {clause} uses variables beyond num_vars={num_vars}"
@@ -219,26 +216,9 @@ class PcnfFormula:
                 raise ValueError(f"repeated clause {clause}")
         return cls(num_vars, tuple(ordered))
 
-    @property
-    def num_clauses(self) -> int:
-        return len(self.clauses)
-
-    def __iter__(self):
-        return iter(self.clauses)
-
-    def __len__(self) -> int:
-        return len(self.clauses)
-
     def occurring_variables(self) -> tuple[int, ...]:
         """Indices of variables that occur in at least one clause."""
         union = 0
         for clause in self.clauses:
             union |= clause.occupancy
         return bit_indices(union)
-
-    def satisfied_by(self, assignment: Assignment) -> bool:
-        """True iff every clause is satisfied (empty formula: vacuously true)."""
-        for clause in self.clauses:
-            if not ((assignment & clause.pos_mask) | (~assignment & clause.neg_mask)):
-                return False
-        return True

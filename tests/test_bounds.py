@@ -7,7 +7,6 @@ from pcnfrange import (
     RangeClass,
     bounds_for,
     classify_count,
-    classify_range,
     clause_distribution,
 )
 
@@ -115,12 +114,12 @@ def test_classification_boundaries():
     assert classify_count(3, 20)[0] is RangeClass.BEYOND_F
 
 
-def test_classify_range_uses_declared_universe_by_default():
+def test_classify_count_of_declared_or_occurring_universe():
     f = pf(3, "a")  # one clause, three declared variables
-    range_class, table = classify_range(f)
+    range_class, table = classify_count(f.num_vars, len(f.clauses))
     assert table.n == 3
     assert range_class is RangeClass.BELOW_RANGE
     # recounting to the single occurring variable moves it into range
-    range_class, table = classify_range(f, n=1)
+    range_class, table = classify_count(len(f.occurring_variables()), len(f.clauses))
     assert table.n == 1
     assert range_class is RangeClass.NATURAL_RANGE

@@ -133,6 +133,17 @@ def test_analyze_parse_error_reports_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "+1"])
+def test_non_dimacs_integers_exit_65_with_one_line(capsys, tmp_path, token):
+    for line, text in ((2, f"p cnf 10 1\n{token} 0\n"), (1, f"p cnf {token} 1\n1 0\n")):
+        path = tmp_path / "bad.cnf"
+        path.write_bytes(text.encode())
+        for command in ("analyze", "solve", "normalize"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (65, "")
+            assert err.count("\n") == 1 and f"line {line}: " in err
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent.cnf")
     assert code == 65

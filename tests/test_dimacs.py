@@ -59,7 +59,7 @@ def test_parse_skips_byte_order_mark_in_bytes():
 
 def test_parse_records_empty_clause():
     raw = parse_dimacs("p cnf 2 2\n1 0\n0\n")
-    assert raw.contains_empty_clause
+    assert () in raw.clauses
 
 
 def test_parse_warns_on_clause_count_mismatch():
@@ -105,6 +105,38 @@ def test_parse_rejects_unterminated_clause():
 def test_parse_rejects_garbage_token():
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 2 1\n1 x 0\n")
+
+
+# A literal is ASCII -?[0-9]+ and a header count ASCII [0-9]+, although int()
+# reads all of these.
+NON_DIMACS_INTEGERS = ("1_0", "\u0661", "+1", "\uff11", "-+1", "+-1")
+
+
+@pytest.mark.parametrize("token", NON_DIMACS_INTEGERS)
+def test_parse_rejects_non_dimacs_integer_literal(token):
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs(f"p cnf 10 2\n1 0\n2 {token} 0\n")
+    assert type(exc.value) is DimacsError
+    assert str(exc.value) == f"line 3: non-integer token {token!r}"
+
+
+@pytest.mark.parametrize("token", NON_DIMACS_INTEGERS + ("-3",))
+def test_parse_rejects_non_dimacs_header_count(token):
+    for header in (f"p cnf {token} 1", f"p cnf 3 {token}"):
+        with pytest.raises(MalformedHeaderError, match="line 1: bad header"):
+            parse_dimacs(f"{header}\n1 0\n")
+
+
+def test_parse_token_grammar_edges():
+    # the first offending token is named, whatever made the line suspect
+    with pytest.raises(DimacsError, match="non-integer token 'x'"):
+        parse_dimacs("p cnf 2 1\nx 1_0 0\n")
+    with pytest.raises(MalformedHeaderError, match="line 1"):
+        parse_dimacs("p cnf " + "9" * 5000 + " 1\n1 0\n")
+    # comments may hold any text, "-0" ends a clause, and a no-break space
+    # separates tokens
+    raw = parse_dimacs("c \u0661 caf\u00e9 +1 1_0\np cnf 3 3\n-0 1 -02 0\n3\u00a0-3 0\n")
+    assert raw.clauses == ((), (1, -2), (3, -3))
 
 
 def test_write_single_clause():

@@ -9,7 +9,6 @@ from pcnfrange import (
     PcnfFormula,
     RawCnf,
     all_true,
-    clause_canonical_key,
     clause_satisfied,
     enumerate_clauses,
 )
@@ -37,19 +36,46 @@ def test_all_negative_clause_falsified_by_all_true():
 
 
 def test_canonical_key_strips_polarity_and_sorts():
-    assert clause_canonical_key(cl("a ~b")) == (0, 1)
-    assert clause_canonical_key(cl("~c")) == (2,)
-    assert clause_canonical_key(cl("~a b ~c")) == (0, 1, 2)
+    def key(c):
+        return bit_indices(c.pos_mask | c.neg_mask)
+
+    assert key(cl("a ~b")) == (0, 1)
+    assert key(cl("~c")) == (2,)
+    assert key(cl("~a b ~c")) == (0, 1, 2)
 
 
+# The constructor trusts its masks; the validating factories check them.
 def test_clause_rejects_polarity_overlap():
-    with pytest.raises(ValueError):
-        Clause(0b1, 0b1)
+    with pytest.raises(ValueError, match="variable and its complement"):
+        Clause.from_literals([1, 2, -1])
+    with pytest.raises(ValueError, match=r"complement \(pos=0x3, neg=0x1\)"):
+        PcnfFormula.from_clauses(2, [cl("a"), Clause(0b11, 0b01)])
 
 
 def test_clause_rejects_empty():
-    with pytest.raises(ValueError):
-        Clause(0, 0)
+    with pytest.raises(ValueError, match="empty clause"):
+        Clause.from_literals([])
+    with pytest.raises(ValueError, match="empty clause"):
+        PcnfFormula.from_clauses(2, [cl("a"), Clause(0, 0)])
+
+
+def test_clause_rejects_negative_masks():
+    for pos, neg in ((-1, 0), (0, -2), (-1, -2)):
+        with pytest.raises(ValueError, match="non-negative"):
+            PcnfFormula.from_clauses(2, [Clause(pos, neg)])
+
+
+def test_clause_is_a_value_type_not_a_tuple():
+    # A NamedTuple or tuple subclass fails every one of these.
+    c = Clause(1, 0)
+    assert c != (1, 0) and (1, 0) != c
+    assert c == Clause(1, 0) and hash(c) == hash(Clause(1, 0))
+    assert len({c, Clause(1, 0), Clause(0, 1)}) == 2
+    assert repr(Clause(1, 2)) == "Clause(pos_mask=1, neg_mask=2)"
+    with pytest.raises(TypeError):
+        sorted([Clause(2, 0), Clause(1, 0)])
+    with pytest.raises(TypeError):
+        iter(c)
 
 
 def test_from_literals_collapses_repeats():
@@ -125,8 +151,8 @@ def test_raw_cnf_rejects_out_of_range_literal():
 
 
 def test_raw_cnf_flags_empty_clause():
-    assert RawCnf(2, ((),)).contains_empty_clause
-    assert not RawCnf(2, ((1,),)).contains_empty_clause
+    assert () in RawCnf(2, ((),)).clauses
+    assert () not in RawCnf(2, ((1,),)).clauses
 
 
 def test_from_clauses_sorts_canonically():
@@ -168,13 +194,6 @@ def test_from_clauses_accepts_any_variable_count():
 def test_occurring_variables():
     f = PcnfFormula.from_clauses(4, [cl("a"), cl("a ~c")])
     assert f.occurring_variables() == (0, 2)
-
-
-def test_satisfied_by():
-    f = PcnfFormula.from_clauses(2, [cl("a"), cl("~a b")])
-    assert f.satisfied_by(0b11)
-    assert not f.satisfied_by(0b01)
-    assert PcnfFormula.from_clauses(2, []).satisfied_by(0)
 
 
 def test_literal_masks():

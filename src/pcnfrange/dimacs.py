@@ -4,12 +4,13 @@ The parser accepts comment lines (``c ...``), one ``p cnf <vars> <clauses>``
 header, and zero-terminated clauses (which may span lines or share one).  A
 line starting with ``%`` (the SATLIB trailer) ends the clause section;
 everything after it is ignored.  One leading byte-order mark is skipped.
-A literal is an ASCII ``-?[0-9]+`` token, kept as the file's signed int, and
-a header count ASCII ``[0-9]+``.  Duplicate literals, repeated clauses,
-tautologies, and empty clauses all survive parsing untouched;
-normalization is a separate, explicit step.  A header clause count that
-disagrees with the clauses actually present is common in the wild, so it
-warns instead of failing.
+A line ends at ``\n``, ``\r\n`` or ``\r``, and only ASCII whitespace (space,
+tab, vertical tab, form feed) separates tokens.  A literal is an ASCII
+``-?[0-9]+`` token, kept as the file's signed int, and a header count ASCII
+``[0-9]+``.  Duplicate literals, repeated clauses, tautologies, and empty
+clauses all survive parsing untouched; normalization is a separate, explicit
+step.  A header clause count that disagrees with the clauses actually present
+is common in the wild, so it warns instead of failing.
 """
 from __future__ import annotations
 
@@ -59,9 +60,15 @@ def parse_dimacs(text: str | bytes) -> RawCnf:
     pending: list[int] = []
     last_line = 0
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # str.splitlines() would also end a line at \v, \f, \x1c-\x1e and Unicode
+    # line breaks, and str.split() breaks tokens at \x1c-\x1f.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    separators = any(c in text for c in "\x1c\x1d\x1e\x1f")
+    for lineno, line in enumerate(lines, start=1):
         last_line = lineno
-        stripped = line.strip()
+        stripped = line.strip(" \t\v\f")
         if not stripped or stripped.startswith("c"):
             continue
         if stripped.startswith("%"):
@@ -69,9 +76,9 @@ def parse_dimacs(text: str | bytes) -> RawCnf:
         if stripped.startswith("p"):
             if num_vars is not None:
                 raise MalformedHeaderError("duplicate header", lineno)
-            fields = stripped.split()
-            counts = "".join(fields[2:]).encode()  # bytes.isdigit() is ASCII-only
-            if len(fields) != 4 or fields[:2] != ["p", "cnf"] or not counts.isdigit():
+            fields = stripped.encode().split()  # bytes split at ASCII whitespace
+            counts = b"".join(fields[2:])  # and bytes.isdigit() is ASCII-only
+            if len(fields) != 4 or fields[:2] != [b"p", b"cnf"] or not counts.isdigit():
                 raise MalformedHeaderError(f"bad header {stripped!r}", lineno)
             try:
                 num_vars, declared_clauses = map(int, fields[2:])
@@ -80,11 +87,12 @@ def parse_dimacs(text: str | bytes) -> RawCnf:
             continue
         if num_vars is None:
             raise MalformedHeaderError("clause before 'p cnf' header", lineno)
-        # int() also reads "1_0", "+1" and non-ASCII digits; DIMACS does not.
-        if not stripped.isascii() or "_" in stripped or "+" in stripped:
-            for token in stripped.split():
-                if not (token.isascii() and token.removeprefix("-").isdigit()):
-                    raise DimacsError(f"non-integer token {token!r}", lineno)
+        # int() also reads "1_0", "+1" and non-ASCII digits, and str.split()
+        # breaks at those separators and Unicode spaces; DIMACS does neither.
+        if separators or not stripped.isascii() or "_" in stripped or "+" in stripped:
+            for token in stripped.encode().split():
+                if not token.removeprefix(b"-").isdigit():
+                    raise DimacsError(f"non-integer token {token.decode()!r}", lineno)
         for token in stripped.split():
             try:
                 lit = int(token)

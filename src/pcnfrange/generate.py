@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, filterfalse
+from itertools import accumulate
 from math import comb
 from typing import Iterable
 
@@ -124,36 +124,24 @@ def double_sat_construction(
     return PcnfFormula(n, clauses)
 
 
-def _draw(rng: random.Random, population: int, k: int) -> tuple[set[int], bool]:
+def _draws(rng: random.Random, population: int, sizes: Iterable[int]):
     # Without-replacement scheme, deterministic for a seeded Mersenne-Twister
-    # rng: draw min(k, population-k) distinct indices, each by rejection on
-    # getrandbits(bit_length(population)).  Returns them and whether the
-    # sample is their complement, when that was the smaller side.
-    if not 0 <= k <= population:
-        raise ValueError(f"cannot draw {k} of {population}")
-    target = min(k, population - k)
-    chosen: set[int] = set()
-    add = chosen.add
+    # rng: for each size k pulled from sizes, draw min(k, population - k)
+    # distinct indices, each by rejection on getrandbits(bit_length(population)).
+    # Yields (k, candidates, excluded): the sample is the ascending candidates
+    # not excluded, so a complement is read straight off the index range.
     getrandbits = rng.getrandbits
     nbits = population.bit_length()
-    while len(chosen) < target:
-        v = getrandbits(nbits)
-        if v < population:
-            add(v)
-    return chosen, target != k
-
-
-def _ascending(population: int, chosen: set[int], complement: bool) -> Iterable[int]:
-    # A drawn sample's indices in ascending order; a complement lazily, since
-    # a campaign's AND usually reaches 0 after its first few clauses.
-    if complement:
-        return filterfalse(chosen.__contains__, range(population))
-    return sorted(chosen)
-
-
-def _sample_indices(rng: random.Random, population: int, k: int) -> list[int]:
-    # The sorted indices of a seeded k-subset of range(population).
-    return list(_ascending(population, *_draw(rng, population, k)))
+    every = range(population)
+    for k in sizes:
+        target = min(k, population - k)
+        chosen: set[int] = set()
+        add = chosen.add
+        while len(chosen) < target:
+            v = getrandbits(nbits)
+            if v < population:
+                add(v)
+        yield (k, every, chosen) if target < k else (k, sorted(chosen), ())
 
 
 def sample_pcnf(n: int, m_clauses: int, seed: int) -> PcnfFormula:
@@ -163,14 +151,10 @@ def sample_pcnf(n: int, m_clauses: int, seed: int) -> PcnfFormula:
     reproduce identical formulas everywhere.
     """
     universe = enumerate_clauses(n)
-    if m_clauses > len(universe):
-        raise ValueError(
-            f"requested {m_clauses} clauses but the universe for n={n} "
-            f"has only {len(universe)}"
-        )
-    rng = random.Random(seed)
-    indices = _sample_indices(rng, len(universe), m_clauses)
-    return PcnfFormula(n, tuple(map(universe.__getitem__, indices)))
+    if not 0 <= m_clauses <= len(universe):
+        raise ValueError(f"cannot draw {m_clauses} of the {len(universe)} clauses for n={n}")
+    _, candidates, excluded = next(_draws(random.Random(seed), len(universe), (m_clauses,)))
+    return PcnfFormula(n, tuple([universe[i] for i in candidates if i not in excluded]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,28 +303,34 @@ def _campaign(bitmaps, ranges, mode, sample_count, seed):
                 yield name, size, _walk(row, size, full)
         return
     # The ranges are contiguous and ascending.  A clause count is drawn by
-    # rejection on getrandbits, reading what rng.randint(lo, hi) would.
+    # rejection on getrandbits, reading what rng.randint(lo, hi) would, just
+    # before the draw of its clause indices.
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     (first, lo, first_hi), (last, _, hi) = ranges[0], ranges[-1]
     span = hi - lo + 1
     kbits = span.bit_length()
-    model_free = {name: 0 for name, _, _ in ranges}
-    for _ in range(sample_count):
-        size = getrandbits(kbits)
-        while size >= span:
+
+    def sizes():
+        for _ in range(sample_count):
             size = getrandbits(kbits)
-        size += lo
-        name = first if size <= first_hi else last
-        drawn = _draw(rng, m, size)
+            while size >= span:
+                size = getrandbits(kbits)
+            yield size + lo
+
+    model_free = {name: 0 for name, _, _ in ranges}
+    for size, candidates, excluded in _draws(rng, m, sizes()):
         acc = full
-        for i in _ascending(m, *drawn):
+        for i in candidates:
+            if i in excluded:
+                continue
             acc &= bitmaps[i]
             if not acc:
                 break
+        name = first if size <= first_hi else last
         if acc:
             # Only a formula with a model may need its clause indices listed.
-            yield name, size, ((1, acc, _ascending(m, *drawn)),)
+            yield name, size, ((1, acc, [i for i in candidates if i not in excluded]),)
         else:
             model_free[name] += 1
     for name, lo, _ in ranges:

@@ -133,7 +133,9 @@ def test_analyze_parse_error_reports_line(capsys, tmp_path):
     assert "line 2" in err
 
 
-@pytest.mark.parametrize("token", ["1_0", "\u0661", "+1"])
+@pytest.mark.parametrize(
+    "token", ["1_0", "\u0661", "+1", "3\u00a0-3", "1\x1f2", "1\x1c2", "1\u20282"]
+)
 def test_non_dimacs_integers_exit_65_with_one_line(capsys, tmp_path, token):
     for line, text in ((2, f"p cnf 10 1\n{token} 0\n"), (1, f"p cnf {token} 1\n1 0\n")):
         path = tmp_path / "bad.cnf"

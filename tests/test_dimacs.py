@@ -133,10 +133,30 @@ def test_parse_token_grammar_edges():
         parse_dimacs("p cnf 2 1\nx 1_0 0\n")
     with pytest.raises(MalformedHeaderError, match="line 1"):
         parse_dimacs("p cnf " + "9" * 5000 + " 1\n1 0\n")
-    # comments may hold any text, "-0" ends a clause, and a no-break space
-    # separates tokens
-    raw = parse_dimacs("c \u0661 caf\u00e9 +1 1_0\np cnf 3 3\n-0 1 -02 0\n3\u00a0-3 0\n")
-    assert raw.clauses == ((), (1, -2), (3, -3))
+    # comments may hold any text and "-0" ends a clause
+    raw = parse_dimacs("c \u0661 caf\u00e9 +1 1_0\np cnf 3 2\n-0 1 -02 0\n")
+    assert raw.clauses == ((), (1, -2))
+
+
+def test_parse_separates_tokens_at_ascii_whitespace_only():
+    # space, tab, vertical tab and form feed separate tokens; a line ends at
+    # \n, \r\n or \r
+    raw = parse_dimacs("p cnf\t3\v2\f\r\n\v1\t-2\f0 \r3 \t -3 0\n")
+    assert raw.clauses == ((1, -2), (3, -3))
+    with pytest.raises(UnterminatedClauseError, match="line 3"):
+        parse_dimacs("p cnf 3 1\r\n1 2\r3\n")
+
+
+@pytest.mark.parametrize(
+    "token", ["3\u00a0-3", "1\x1f2", "1\x1c2", "1\u20282", "1\x852", "0\u00a0", "1\u3000"]
+)
+def test_parse_rejects_non_ascii_and_control_separators(token):
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs(f"p cnf 3 1\n{token} 0\n")
+    assert type(exc.value) is DimacsError
+    assert str(exc.value) == f"line 2: non-integer token {token!r}"
+    with pytest.raises(MalformedHeaderError, match="line 1: bad header"):
+        parse_dimacs(f"p cnf 3{token[1]}1\n1 0\n")
 
 
 def test_write_single_clause():

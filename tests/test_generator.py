@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import random
 from math import comb
 
@@ -26,11 +27,12 @@ from pcnfrange import (
 from pcnfrange.generate import (
     EnumerationCapError,
     _Bitmaps,
-    _sample_indices,
+    _draws,
     _tightness,
     _universe,
     _walk,
 )
+from pcnfrange.oracle import clause_bitmap
 
 from tests.helpers import cl, naive_sample_strata, naive_strata, naive_universe
 
@@ -235,8 +237,10 @@ def test_sample_distinct_and_sized():
 
 
 def test_sample_rejects_oversize():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot draw 9 of the 8 clauses"):
         sample_pcnf(2, 9, seed=0)
+    with pytest.raises(ValueError, match="cannot draw -1 of the 8 clauses"):
+        sample_pcnf(2, -1, seed=0)
 
 
 def test_sample_deterministic_per_seed():
@@ -249,11 +253,41 @@ def test_sample_deterministic_per_seed():
 
 def test_sample_indices_cover_both_density_regimes():
     rng = random.Random(3)
-    for population, k in [(10, 3), (10, 9), (10, 10), (10, 0), (50, 25)]:
-        got = _sample_indices(rng, population, k)
-        assert len(got) == k
+    for population, k in [(10, 3), (10, 9), (10, 10), (10, 0), (50, 25), (50, 26)]:
+        ((size, candidates, excluded),) = _draws(rng, population, [k])
+        got = [i for i in candidates if i not in excluded]
+        assert size == k == len(got)
         assert got == sorted(set(got))
         assert all(0 <= i < population for i in got)
+        if 2 * k > population:  # the smaller side is drawn, then left out
+            assert candidates == range(population) and len(excluded) == population - k
+        else:
+            assert not excluded
+
+
+# Universe indices of seeded samples, which must not change with the code
+# that draws them: small draws listed, large ones as the sha256 of their
+# comma-joined indices.  Sizes above m/2 are drawn as complements.
+_SAMPLE_PCNF_STREAM = [
+    (3, 5, 0, [1, 8, 12, 13, 24]),
+    (3, 13, 1, [0, 2, 3, 4, 6, 8, 12, 14, 15, 18, 20, 24, 25]),
+    (3, 14, 1, [0, 1, 5, 7, 9, 10, 11, 13, 16, 17, 19, 21, 22, 23]),
+    (3, 20, 0, [0, 2, 3, 4, 5, 6, 7, 9, 10, 11, 14, 15, 17, 18, 19, 20, 21, 22, 23, 25]),
+    (6, 364, 3, "34f267a01154cdfd969412dfec34d4b253fac1a3d5f10491b5f3dda9400f2503"),
+    (6, 365, 3, "e4ef884fc0fc9acf4932790b51c1cb47d0aadd54891e45a179e78c8f71b4dc8f"),
+    (8, 5000, 7, "bebecf8b3e78b7e5e47cdb5de1a78ae849879285e86c340c88b3818cc06bfb6f"),
+    (12, 3000, 9, "c4916058737cb22151ac05bbe3135c0fb3ba865bdf10f62464b48787bb19bec1"),
+]
+
+
+@pytest.mark.parametrize("n, m_clauses, seed, expected", _SAMPLE_PCNF_STREAM)
+def test_sample_pcnf_stream_is_pinned(n, m_clauses, seed, expected):
+    position = {c: i for i, c in enumerate(enumerate_clauses(n))}
+    got = [position[c] for c in sample_pcnf(n, m_clauses, seed).clauses]
+    if isinstance(expected, str):
+        assert len(got) == m_clauses
+        got = hashlib.sha256(",".join(map(str, got)).encode()).hexdigest()
+    assert got == expected
 
 
 def test_verify_exhaustive_n2():
@@ -279,6 +313,23 @@ def test_verify_sampled_deterministic():
     assert a == b
     assert a.ok
     assert sum(s.formulas_checked for s in a.strata) == 500
+
+
+def test_verify_sample_builds_clause_bitmaps_lazily(monkeypatch):
+    # A sampled formula's AND usually reaches 0 within a few clauses, so a
+    # campaign must not build a bitmap per universe clause: at n = 12 that
+    # would be 531,440 bitmaps of 4,096 bits.  (_tightness builds its own
+    # through oracle.model_bitmap, which this does not count.)
+    built = []
+
+    def counting(pos, neg, n):
+        built.append((pos, neg))
+        return clause_bitmap(pos, neg, n)
+
+    monkeypatch.setattr("pcnfrange.generate.clause_bitmap", counting)
+    report = verify_bounds(8, VerifyMode.SAMPLE, sample_count=200, seed=1)
+    assert report.ok
+    assert 0 < len(built) < len(enumerate_clauses(8)) // 100
 
 
 def test_verify_budget_refusal():

@@ -16,7 +16,7 @@ from pathlib import Path
 from .bounds import bounds_for
 from .detectors import screen_all
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
-from .formula import PcnfFormula
+from .formula import PcnfFormula, RawCnf
 from .generate import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -63,12 +63,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _read(path: str) -> str:
-    """The text of ``path``, or of standard input when it is ``-``."""
+def _read_cnf(path: str) -> RawCnf:
+    """The formula in ``path`` (``-``: standard input), refused over zero
+    variables: the bounds, the clause universe and ``verify`` need n >= 1."""
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text()
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
         raise DimacsError(f"cannot read {path}: {exc}") from exc
+    raw = parse_dimacs(data)
+    if raw.num_vars == 0:
+        raise ValueError("formula declares zero variables")
+    return raw
 
 
 class _OracleCapFromEnv(str):
@@ -129,9 +134,7 @@ def _parse_witness(spec: str, n: int) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     _check_oracle_cap(args.oracle_max_n)
-    raw = parse_dimacs(_read(args.file))
-    if raw.num_vars == 0:
-        raise ValueError("formula declares zero variables")
+    raw = _read_cnf(args.file)
     try:
         formula, _stats = normalize(raw)
     except EmptyClauseError:
@@ -172,7 +175,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    raw = parse_dimacs(_read(args.infile))
+    raw = _read_cnf(args.infile)
     formula, stats = normalize(raw)
     text = write_dimacs(formula)
     if args.outfile and args.outfile != "-":
@@ -206,7 +209,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_oracle_cap(args.max_n)
-    raw = parse_dimacs(_read(args.file))
+    raw = _read_cnf(args.file)
     try:
         formula, _stats = normalize(raw)
     except EmptyClauseError:

@@ -4,6 +4,7 @@ The parser accepts comment lines (``c ...``), one ``p cnf <vars> <clauses>``
 header, and zero-terminated clauses (which may span lines or share one).  A
 line starting with ``%`` (the SATLIB trailer) ends the clause section;
 everything after it is ignored.  One leading byte-order mark is skipped.
+Bytes are decoded as UTF-8; an undecodable byte is an error on its line.
 A line ends at ``\n``, ``\r\n`` or ``\r``, and only ASCII whitespace (space,
 tab, vertical tab, form feed) separates tokens.  A literal is an ASCII
 ``-?[0-9]+`` token, kept as the file's signed int, and a header count ASCII
@@ -51,7 +52,12 @@ def parse_dimacs(text: str | bytes) -> RawCnf:
     DimacsWarning when the header's clause count does not match.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = text[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            line = head.count(b"\n") + 1
+            raise DimacsError(f"undecodable byte {text[exc.start]:#04x}", line) from None
     text = text.removeprefix("\ufeff")
 
     num_vars: int | None = None

@@ -16,6 +16,7 @@ from outside; the direct constructors trust their arguments, which
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 #: An assignment is an int whose bit i holds the truth value of variable i.
@@ -32,17 +33,18 @@ def bit_indices(mask: int) -> tuple[int, ...]:
     class.  Wider masks rarely repeat, and caching one costs more than
     computing it.
     """
-    cached = _BIT_INDEX_CACHE.get(mask)
-    if cached is not None:
+    small = mask < 1 << 16
+    if small and (cached := _BIT_INDEX_CACHE.get(mask)) is not None:
         return cached
     out = []
     m = mask
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
+    while m:  # from the top: m -= 1 << b is cheaper than m ^= m & -m on wide masks
+        b = m.bit_length() - 1
+        out.append(b)
+        m -= 1 << b
+    out.reverse()
     result = tuple(out)
-    if mask < 1 << 16:
+    if small:
         _BIT_INDEX_CACHE[mask] = result
     return result
 
@@ -174,8 +176,9 @@ class RawCnf:
         n = self.num_vars
         if n < 0:
             raise ValueError("num_vars must be non-negative")
-        for clause in self.clauses:
-            for lit in clause:
+        seen = set(chain.from_iterable(self.clauses))  # one C-level pass
+        if 0 in seen or max(seen, default=0) > n or min(seen, default=0) < -n:
+            for lit in chain.from_iterable(self.clauses):  # name the first offender
                 if not lit or abs(lit) > n:
                     raise ValueError(f"literal {lit} out of range for {n} variables")
 

@@ -19,6 +19,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def stdin_bytes(data):
+    """A standard input whose ``buffer`` yields ``data``, as a pipe's does."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -146,6 +151,32 @@ def test_non_dimacs_integers_exit_65_with_one_line(capsys, tmp_path, token):
             assert err.count("\n") == 1 and f"line {line}: " in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "solve", "normalize"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_undecodable_byte_is_a_line_numbered_parse_error(
+    capsys, monkeypatch, tmp_path, command, source
+):
+    data = b"c comment\r\np cnf 2 1\r1 \xff 0\n"
+    if source == "file":
+        path = tmp_path / "bad.cnf"
+        path.write_bytes(data)
+        arg = str(path)
+    else:
+        monkeypatch.setattr(sys, "stdin", stdin_bytes(data))
+        arg = "-"
+    code, out, err = run(capsys, command, arg)
+    assert (code, out, err) == (65, "", "parse error: line 3: undecodable byte 0xff\n")
+
+
+def test_zero_variable_header_is_refused_by_every_formula_command(capsys, monkeypatch, tmp_path):
+    path = write(tmp_path, "zero.cnf", "p cnf 0 0\n")
+    for command in ("analyze", "solve", "normalize"):
+        for arg in (path, "-"):
+            monkeypatch.setattr(sys, "stdin", stdin_bytes(b"p cnf 0 0\n"))
+            code, out, err = run(capsys, command, arg)
+            assert (code, out, err) == (65, "", "error: formula declares zero variables\n")
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent.cnf")
     assert code == 65
@@ -158,7 +189,7 @@ def test_dash_reads_stdin(capsys, monkeypatch, tmp_path):
     for command, code in (("analyze", 10), ("solve", 10), ("normalize", 0)):
         expected = run(capsys, command, path)
         assert expected[0] == code
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", stdin_bytes(text.encode()))
         assert run(capsys, command, "-") == expected
 
 

@@ -57,6 +57,19 @@ def test_parse_skips_byte_order_mark_in_bytes():
     assert (raw.num_vars, raw.clauses) == (3, ((1,),))
 
 
+def test_parse_names_the_line_of_an_undecodable_byte():
+    for data, message in [
+        (b"p cnf 2 1\n1 \xff 0\n", "line 2: undecodable byte 0xff"),
+        (b"\xfe", "line 1: undecodable byte 0xfe"),
+        (b"\xef\xbb\xbfc \xe9t\xe9\np cnf 1 1\n1 0\n", "line 1: undecodable byte 0xe9"),
+        # lines end at \r\n, \r and \n, as the parser counts them
+        (b"c a\r\nc b\rc c\n\np cnf 2 1\n1 2 0\n-1 \xc3", "line 7: undecodable byte 0xc3"),
+    ]:
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs(data)
+        assert str(err.value) == message
+
+
 def test_parse_records_empty_clause():
     raw = parse_dimacs("p cnf 2 2\n1 0\n0\n")
     assert () in raw.clauses

@@ -100,15 +100,20 @@ def test_bit_indices():
 
 
 def test_bit_indices_does_not_cache_wide_masks():
-    size = len(formula_module._BIT_INDEX_CACHE)
+    cache = formula_module._BIT_INDEX_CACHE
     rng = random.Random(5)
-    for width in (17, 64, 1000):
-        for _ in range(200):
-            mask = rng.getrandbits(width) | 1 << (width - 1)
-            assert bit_indices(mask) == tuple(
-                v for v in range(width) if mask >> v & 1
-            )
-    assert len(formula_module._BIT_INDEX_CACHE) == size
+    for width in (1, 2, 15, 16, 17, 33, 64, 100, 1000, 5000):
+        size = len(cache)
+        top = 1 << (width - 1)
+        for _ in range(20):
+            dense = rng.getrandbits(width) | top
+            sparse = sum(1 << b for b in rng.sample(range(width), min(width, 3))) | top
+            for mask in (dense, sparse, 2 * top - 1):
+                assert bit_indices(mask) == tuple(v for v in range(width) if mask >> v & 1)
+        if width > 16:
+            assert len(cache) == size
+    assert all(mask < 1 << 16 for mask in cache)
+    assert bit_indices((1 << 16) - 1) is cache[(1 << 16) - 1]
 
 
 def test_full_positive_clause_satisfied_by_every_nonzero_assignment():
@@ -141,13 +146,22 @@ def test_clause_satisfied_matches_literal_semantics(n, data):
 
 
 def test_raw_cnf_rejects_out_of_range_literal():
-    with pytest.raises(ValueError):
-        RawCnf(1, ((2,),))
-    with pytest.raises(ValueError):
-        RawCnf(1, ((-2,),))
-    with pytest.raises(ValueError):
-        RawCnf(3, ((1, 0, 2),))
+    # the message names the first offender in clause order
+    for n, clauses, first in [
+        (1, ((2,),), "2"),
+        (1, ((-2,),), "-2"),
+        (3, ((1, 0, 2),), "0"),
+        (3, ((1, 2), (), (3, 5, -7), (0,)), "5"),
+        (3, ((1,), (-7, 5)), "-7"),
+        (3, ((2, -2), (-3, 0), (), (4,)), "0"),
+        (0, ((), (1,)), "1"),
+        (2, ((1,), (-2, 1), (-3,)), "-3"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^literal {first} out of range for {n} variables$"):
+            RawCnf(n, clauses)
     assert RawCnf(3, ((1, -3, 3),)).clauses == ((1, -3, 3),)
+    assert RawCnf(3, ((), (-3, 3), ())).clauses == ((), (-3, 3), ())
+    assert RawCnf(0, ((), ())).clauses == ((), ())
 
 
 def test_raw_cnf_flags_empty_clause():

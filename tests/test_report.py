@@ -1,7 +1,10 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pcnfrange import (
     BoundsTable,
@@ -179,3 +182,53 @@ def test_text_renderers_print_ints_past_the_interpreter_digit_limit():
     assert f"(g={rows['g']}, f={rows['f']}, m={rows['m']})" in text
     with pytest.raises(ValueError):
         str(table.m)  # the interpreter's limit is back after each call
+
+
+_AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "é", " ", "\U0001f600"])
+_TEXT = st.text(st.one_of(st.characters(), _AWKWARD), max_size=8)
+_INTS = st.one_of(
+    st.integers(),
+    st.integers(4_290, 4_400).flatmap(lambda d: st.sampled_from([10**d + 7, -(10**d) - 3])),
+)
+_LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _TEXT)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(_TEXT, _INTS, max_size=6),  # the one-comprehension path
+        st.lists(st.dictionaries(_TEXT, children, max_size=3), max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+def _reference_json(doc) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@given(_DOCS)
+def test_to_json_matches_json_dumps(doc):
+    assert to_json(doc) == _reference_json(doc)
+
+
+def test_to_json_writes_bools_as_json_beside_equal_ints():
+    doc = {"t": True, "one": 1, "f": False, "zero": 0, "mix": [True, 1, False, 0, None]}
+    assert to_json(doc) == _reference_json(doc)
+    assert '"t": true' in to_json(doc) and '"one": 1' in to_json(doc)
+    assert to_json({"a": {}, "b": [], "c": [{}, {"x": -1}]}) == _reference_json(
+        {"a": {}, "b": [], "c": [{}, {"x": -1}]}
+    )
+
+
+@pytest.mark.parametrize(
+    "doc", [{"x": 1.5}, [0.0], {1: 2}, {"a": {2: "b"}}, {True: 1}, {"a": (1, 2)}, {"a": {1, 2}}]
+)
+def test_to_json_refuses_values_outside_the_report_subset(doc):
+    with pytest.raises(TypeError):
+        to_json(doc)

@@ -3,7 +3,7 @@
 Exit codes follow SAT-solver conventions so existing harnesses interoperate:
 20 for proven unsatisfiable, 10 for proven satisfiable, 0 for unknown, 64
 for usage errors, 65 for unreadable or malformed input, 70 for a failed
-verification campaign.
+verification campaign, 74 for output that cannot be written.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bounds import bounds_for
@@ -18,7 +19,6 @@ from .detectors import screen_all
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .formula import PcnfFormula, RawCnf
 from .generate import (
-    BudgetExceededError,
     DEFAULT_BUDGET,
     DEFAULT_ENUMERATION_CAP,
     VerifyMode,
@@ -28,10 +28,9 @@ from .generate import (
     verify_bounds,
 )
 from .normalize import EmptyClauseError, normalize
-from .oracle import DEFAULT_MAX_VARS, TooManyVariablesError, solve
+from .oracle import DEFAULT_MAX_VARS, solve
 from .report import (
     bounds_text,
-    bounds_to_dict,
     build_report,
     oracle_to_dict,
     report_text,
@@ -47,8 +46,8 @@ EX_UNSAT = 20
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_VERIFYFAIL = 70
+EX_IOERR = 74
 
-ORACLE_CAP_ENV = "PCNFRANGE_ORACLE_MAX_N"
 DEFAULT_ANALYZE_ORACLE_CAP = 20
 
 
@@ -74,32 +73,6 @@ def _read_cnf(path: str) -> RawCnf:
     if raw.num_vars == 0:
         raise ValueError("formula declares zero variables")
     return raw
-
-
-class _OracleCapFromEnv(str):
-    """Default of ``analyze --oracle-max-n``: argparse applies ``int`` to a
-    string default only when its subcommand runs without the option, so no
-    other subcommand reads the environment."""
-
-    def __int__(self) -> int:
-        raw = os.environ.get(ORACLE_CAP_ENV)
-        if raw is None:
-            return DEFAULT_ANALYZE_ORACLE_CAP
-        try:
-            return int(raw)
-        except ValueError:
-            print(
-                f"warning: ignoring non-integer {ORACLE_CAP_ENV}={raw!r}",
-                file=sys.stderr,
-            )
-            return DEFAULT_ANALYZE_ORACLE_CAP
-
-
-def _check_oracle_cap(cap: int) -> None:
-    if cap > DEFAULT_MAX_VARS:
-        raise UsageError(
-            f"oracle cap {cap} exceeds the ceiling of {DEFAULT_MAX_VARS} variables"
-        )
 
 
 def _check_n(what: str, n: int, least: int) -> None:
@@ -133,7 +106,11 @@ def _parse_witness(spec: str, n: int) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _check_oracle_cap(args.oracle_max_n)
+    if args.oracle_max_n > DEFAULT_MAX_VARS:
+        raise UsageError(
+            f"oracle cap {args.oracle_max_n} exceeds the ceiling of "
+            f"{DEFAULT_MAX_VARS} variables"
+        )
     raw = _read_cnf(args.file)
     try:
         formula, _stats = normalize(raw)
@@ -168,7 +145,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise UsageError(f"bounds require n >= 1, got {args.n}")
     table = bounds_for(args.n)
-    sys.stdout.write(to_json(bounds_to_dict(table)))
+    sys.stdout.write(to_json(asdict(table)))
     if args.text:
         print(bounds_text(table))
     return EX_OK
@@ -208,7 +185,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    _check_oracle_cap(args.max_n)
     raw = _read_cnf(args.file)
     try:
         formula, _stats = normalize(raw)
@@ -217,7 +193,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             to_json({"model_count": 0, "verdict": "unsat", "note": "empty clause"})
         )
         return EX_UNSAT
-    result = solve(formula, max_n=args.max_n)
+    result = solve(formula)
     sys.stdout.write(to_json(oracle_to_dict(result, formula.num_vars)))
     return EX_SAT if result.model_count else EX_UNSAT
 
@@ -255,10 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle-max-n",
         type=int,
-        default=_OracleCapFromEnv(),
+        default=DEFAULT_ANALYZE_ORACLE_CAP,
         help="run the exhaustive oracle only up to this many variables "
-        f"(default {DEFAULT_ANALYZE_ORACLE_CAP}, or ${ORACLE_CAP_ENV}; "
-        f"at most {DEFAULT_MAX_VARS})",
+        f"(default {DEFAULT_ANALYZE_ORACLE_CAP}, at most {DEFAULT_MAX_VARS})",
     )
     p.add_argument(
         "--recount-vars",
@@ -305,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exhaustively count models of a DIMACS file")
     p.add_argument("file", help="DIMACS file, or - for standard input")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_VARS)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check the clause-count bounds against the oracle")
@@ -333,33 +307,43 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use: ``parse_args`` leaves
-    it unchanged, and the environment default is read at parse time."""
+    it unchanged."""
     return build_parser()
+
+
+def _drop_unwritable_stdout() -> None:
+    """Point a stdout that cannot take its buffered bytes at the null device,
+    so the exit-time flush neither fails (exit 120) nor prints a warning."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EX_USAGE
-    try:
-        return args.func(args)
+        try:
+            args = _parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:  # argparse's --help and usage errors
+            code = exc.code if isinstance(exc.code, int) else EX_USAGE
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     except DimacsError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except EmptyClauseError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except (
-        TooManyVariablesError,
-        BudgetExceededError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATAERR
+    except OSError as exc:  # input read errors are DimacsErrors by now
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _drop_unwritable_stdout()
+        return EX_IOERR
 
 
 if __name__ == "__main__":

@@ -76,15 +76,14 @@ def _universe(n: int) -> tuple[Clause, ...]:
             gc.collect(1)
 
 
-def enumerate_clauses(
-    n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[Clause, ...]:
+def enumerate_clauses(n: int) -> tuple[Clause, ...]:
     """All 3^n - 1 clauses over n variables, canonically ordered."""
     if n < 1:
         raise ValueError(f"enumeration requires n >= 1, got {n}")
-    if n > cap:
+    if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"universe for n={n} has 3^{n}-1 clauses, beyond the cap of n={cap}"
+            f"universe for n={n} has 3^{n}-1 clauses, "
+            f"beyond the cap of n={DEFAULT_ENUMERATION_CAP}"
         )
     return _universe(n)
 
@@ -346,7 +345,6 @@ def verify_bounds(
     include_beyond_f: bool = True,
     include_natural_range: bool = True,
     budget: int = DEFAULT_BUDGET,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> VerificationReport:
     """Check the clause-count bound claims against the oracle.
 
@@ -372,7 +370,7 @@ def verify_bounds(
                 "raise the budget to opt in"
             )
 
-    bitmaps = _Bitmaps(enumerate_clauses(n, cap=enumeration_cap), n)
+    bitmaps = _Bitmaps(enumerate_clauses(n), n)
     # per stratum: formulas checked, most models seen, counterexamples
     tallies = {name: [0, 0, []] for name, _, _ in ranges}
     campaign = _campaign(bitmaps, ranges, mode, sample_count, seed)

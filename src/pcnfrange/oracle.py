@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .formula import Assignment, Clause, PcnfFormula, literal_masks
+from .formula import Assignment, Clause, PcnfFormula, bit_indices, literal_masks
 
 #: Ceiling on the oracle's variable count: a truth table of 2^24 bits is 2 MiB.
 DEFAULT_MAX_VARS = 24
@@ -41,7 +41,7 @@ class OracleResult:
     """Exact model count, plus the models themselves when few enough."""
 
     model_count: int
-    models: tuple[Assignment, ...]  # populated only when count <= retention cap
+    models: tuple[Assignment, ...]  # populated only when count <= MODEL_RETENTION_CAP
 
     @property
     def verdict(self) -> OracleVerdict:
@@ -52,15 +52,11 @@ class OracleResult:
         return OracleVerdict.MULTIPLE
 
 
-def solve(
-    formula: PcnfFormula,
-    max_n: int = DEFAULT_MAX_VARS,
-    retention_cap: int = MODEL_RETENTION_CAP,
-) -> OracleResult:
+def solve(formula: PcnfFormula, max_n: int = DEFAULT_MAX_VARS) -> OracleResult:
     """Exhaustively count the formula's models.
 
     Models are retained in ascending order when there are at most
-    ``retention_cap`` of them.  Raises TooManyVariablesError rather than
+    `MODEL_RETENTION_CAP` of them.  Raises TooManyVariablesError rather than
     silently sampling when the formula has more than ``max_n`` variables, or
     more than `DEFAULT_MAX_VARS` whatever ``max_n`` says.
     """
@@ -72,13 +68,8 @@ def solve(
         )
     bitmap = model_bitmap(n, formula.clauses)
     count = bitmap.bit_count()
-    models: list[Assignment] = []
-    if count <= retention_cap:
-        while bitmap:
-            low = bitmap & -bitmap
-            models.append(low.bit_length() - 1)
-            bitmap ^= low
-    return OracleResult(model_count=count, models=tuple(models))
+    models = bit_indices(bitmap) if count <= MODEL_RETENTION_CAP else ()
+    return OracleResult(model_count=count, models=models)
 
 
 def clause_bitmap(pos_mask: int, neg_mask: int, num_vars: int) -> int:

@@ -63,10 +63,7 @@ def render_reason(reason: Reason, n: int) -> str:
 class AnalysisReport:
     """The complete analysis record for one formula."""
 
-    n: int
-    num_clauses: int
     screen: ScreenResult
-    oracle_run: bool
     oracle: OracleResult | None
     verdict: str
     reasons: tuple[str, ...]
@@ -91,35 +88,24 @@ def build_report(
     detectors leave unknown.  An empty formula is satisfiable outright.
     """
     reasons = [render_reason(r, screen.num_vars) for r in screen.reasons]
-    oracle_run = oracle is not None
     if screen.verdict is Verdict.UNSATISFIABLE:
         verdict = "unsatisfiable"
-        if oracle_run and oracle.model_count == 0:
+        if oracle is not None and oracle.model_count == 0:
             reasons.append("oracle model_count=0")
-    elif oracle_run and oracle.model_count == 0:
+    elif oracle is not None and oracle.model_count == 0:
         verdict = "unsatisfiable (oracle)"
         reasons.append("oracle model_count=0")
     elif screen.num_clauses == 0:
         verdict = "satisfiable (trivially)"
         reasons.append("no clauses")
-    elif oracle_run:
+    elif oracle is not None:
         verdict = "satisfiable (oracle)"
         reasons.append(f"oracle model_count={oracle.model_count}")
     else:
         verdict = "unknown"
     return AnalysisReport(
-        n=screen.n,
-        num_clauses=screen.num_clauses,
-        screen=screen,
-        oracle_run=oracle_run,
-        oracle=oracle,
-        verdict=verdict,
-        reasons=tuple(reasons),
+        screen=screen, oracle=oracle, verdict=verdict, reasons=tuple(reasons)
     )
-
-
-def bounds_to_dict(table: BoundsTable) -> dict:
-    return asdict(table)
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -127,13 +113,13 @@ def report_to_dict(report: AnalysisReport) -> dict:
     screen = report.screen
     num_vars = screen.num_vars
     table = screen.class_table
-    oracle_doc: dict = {"run": report.oracle_run}
-    if report.oracle_run:
+    oracle_doc: dict = {"run": report.oracle is not None}
+    if report.oracle is not None:
         oracle_doc["model_count"] = report.oracle.model_count
     b = screen.bounds
     return {
-        "n": report.n,
-        "num_clauses": report.num_clauses,
+        "n": screen.n,
+        "num_clauses": screen.num_clauses,
         "bounds": {"m": b.m, "f": b.f, "g": b.g, "v": b.v, "p": b.p, "q": b.q},
         "range_class": screen.range_class.value,
         "detectors": {
@@ -158,7 +144,7 @@ def verification_to_dict(vr: VerificationReport) -> dict:
     return {
         "n": vr.n,
         "mode": vr.mode.value,
-        "bounds": bounds_to_dict(vr.bounds),
+        "bounds": asdict(vr.bounds),
         "strata": [
             {
                 "name": s.name,
@@ -270,16 +256,15 @@ def bounds_text(table: BoundsTable) -> str:
 @_exact_ints()
 def report_text(report: AnalysisReport) -> str:
     screen = report.screen
-    n = report.n
     lines = [
-        f"variables      {n}",
-        f"clauses        {report.num_clauses}",
+        f"variables      {screen.n}",
+        f"clauses        {screen.num_clauses}",
         f"range          {screen.range_class.value} "
         f"(g={screen.bounds.g}, f={screen.bounds.f}, m={screen.bounds.m})",
         f"occurrences    {screen.occurrence.outcome.value}",
         f"clause classes {screen.clause_class.outcome.value}",
         "oracle         "
-        + (f"model_count={report.oracle.model_count}" if report.oracle_run else "not run"),
+        + ("not run" if report.oracle is None else f"model_count={report.oracle.model_count}"),
         f"verdict        {report.verdict}",
     ]
     for reason in report.reasons:

@@ -1,5 +1,9 @@
-"""The public API is `pcnfrange.__all__`; changing it must be deliberate."""
+"""The public API is `pcnfrange.__all__` and the command line's options;
+changing either must be deliberate."""
+import argparse
+
 import pcnfrange
+from pcnfrange.cli import build_parser
 
 PUBLIC_API = [
     "AnalysisReport",
@@ -58,6 +62,20 @@ PUBLIC_API = [
     "write_dimacs",
 ]
 
+# Per subcommand, its option strings and positionals in declaration order.
+CLI_SURFACE = {
+    "analyze": [
+        "-h", "--help", "file", "--oracle-max-n", "--recount-vars", "--early-exit", "--text",
+    ],
+    "bounds": ["-h", "--help", "n", "--text"],
+    "normalize": ["-h", "--help", "infile", "outfile"],
+    "generate": ["-h", "--help", "--construction", "--n", "--flip", "--witness"],
+    "solve": ["-h", "--help", "file"],
+    "verify": [
+        "-h", "--help", "--n", "--mode", "--count", "--seed", "--stratum", "--budget", "--text",
+    ],
+}
+
 
 def test_public_names_are_pinned():
     assert sorted(pcnfrange.__all__) == PUBLIC_API
@@ -73,3 +91,13 @@ def test_star_import_binds_exactly_the_public_names():
     namespace: dict = {}
     exec("from pcnfrange import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_API
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [opt for a in p._actions for opt in a.option_strings or [a.dest]]
+        for name, p in sub.choices.items()
+    }
+    assert surface == CLI_SURFACE

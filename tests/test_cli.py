@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -330,9 +331,10 @@ def test_solve_empty_clause(capsys, tmp_path):
 
 
 def test_solve_respects_cap(capsys, tmp_path):
-    path = write(tmp_path, "sat.cnf", "p cnf 1 1\n1 0\n")
-    code, _, err = run(capsys, "solve", path, "--max-n", "0")
-    assert code == 65
+    path = write(tmp_path, "wide.cnf", "p cnf 25 1\n1 0\n")
+    code, out, err = run(capsys, "solve", path)
+    assert (code, out) == (65, "")
+    assert "cap of 24" in err
 
 
 def test_verify_exhaustive_n2(capsys):
@@ -382,41 +384,20 @@ def test_verify_budget_refusal_past_the_digit_limit(capsys):
 
 
 def test_oracle_cap_env_var(capsys, monkeypatch):
+    # No environment variable sets the oracle cap; only --oracle-max-n does.
     monkeypatch.setenv("PCNFRANGE_ORACLE_MAX_N", "0")
-    code, out, _ = run(capsys, "analyze", str(GOLDEN_CNF))
-    assert code == 0
-    assert json.loads(out)["oracle"] == {"run": False}
-
-
-def test_oracle_cap_above_ceiling_is_usage_error(capsys, monkeypatch, tmp_path):
-    path = write(tmp_path, "unit.cnf", "p cnf 3 1\n1 0\n")
-    code, _, err = run(capsys, "analyze", path, "--oracle-max-n", "100000")
-    assert code == 64
-    assert "ceiling of 24" in err
-    code, _, err = run(capsys, "solve", path, "--max-n", "25")
-    assert code == 64
-    assert "ceiling of 24" in err
-    monkeypatch.setenv("PCNFRANGE_ORACLE_MAX_N", "25")
-    code, _, err = run(capsys, "analyze", path)
-    assert code == 64
-    assert "ceiling of 24" in err
-
-
-def test_oracle_cap_env_var_non_integer_warns(capsys, monkeypatch):
-    monkeypatch.setenv("PCNFRANGE_ORACLE_MAX_N", "lots")
+    assert build_parser().parse_args(["analyze", "-"]).oracle_max_n == 20
     code, out, err = run(capsys, "analyze", str(GOLDEN_CNF))
-    assert code == 20
-    assert "ignoring non-integer" in err
-    assert json.loads(out)["oracle"]["run"] is True
+    assert (code, err) == (20, "")
+    assert json.loads(out)["oracle"] == {"model_count": 0, "run": True}
 
 
-def test_oracle_cap_env_var_read_by_analyze_only(capsys, monkeypatch):
-    monkeypatch.setenv("PCNFRANGE_ORACLE_MAX_N", "x")
-    code, out, err = run(capsys, "bounds", "2")
-    assert code == 0
-    assert err == ""
-    assert build_parser().parse_args(["analyze", str(GOLDEN_CNF)]).oracle_max_n == 20
-    assert "ignoring non-integer PCNFRANGE_ORACLE_MAX_N='x'" in capsys.readouterr().err
+def test_oracle_cap_above_ceiling_is_usage_error(capsys, tmp_path):
+    path = write(tmp_path, "unit.cnf", "p cnf 3 1\n1 0\n")
+    for cap in ("25", "100000"):
+        code, out, err = run(capsys, "analyze", path, "--oracle-max-n", cap)
+        assert (code, out) == (64, "")
+        assert "ceiling of 24" in err
 
 
 def test_analyze_satlib_trailer(capsys, tmp_path):
@@ -435,17 +416,67 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
-    path = write(tmp_path, "contra.cnf", "p cnf 1 2\n1 0\n-1 0\n")
+def run_module(*argv, **kwargs):
+    """``python -m pcnfrange ARGV`` in a fresh interpreter on this checkout,
+    with the default block-buffered stdout, whose exit-time flush can fail."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_entries = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "pcnfrange", "analyze", path],
-        capture_output=True, text=True, env=env, timeout=60,
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "pcnfrange", *argv],
+        text=True, env=env, timeout=60, **kwargs,
     )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = write(tmp_path, "contra.cnf", "p cnf 1 2\n1 0\n-1 0\n")
+    proc = run_module("analyze", path, capture_output=True)
     assert proc.returncode == 20
     assert "clause_class key=a" in json.loads(proc.stdout)["reasons"]
+
+
+def assert_write_error(proc, errnum, suffix=""):
+    """Exit 74 with one stderr line: no traceback, no "Exception ignored"."""
+    reason = f"[Errno {errnum}] {os.strerror(errnum)}{suffix}"
+    assert proc.returncode == 74
+    assert proc.stderr.splitlines() == [f"error: cannot write output: {reason}"]
+
+
+@pytest.mark.parametrize(
+    "target, errnum",
+    [("missing/out.cnf", errno.ENOENT), (".", errno.EISDIR)],
+    ids=["missing-directory", "directory"],
+)
+def test_normalize_unwritable_outfile(tmp_path, target, errnum):
+    path = write(tmp_path, "unit.cnf", "p cnf 2 1\n1 0\n")
+    outfile = str(tmp_path / target)
+    proc = run_module("normalize", path, outfile, capture_output=True)
+    assert_write_error(proc, errnum, f": {outfile!r}")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_full_stdout(tmp_path):
+    path = write(tmp_path, "unit.cnf", "p cnf 2 1\n1 0\n")
+    with open("/dev/full", "w") as full:
+        proc = run_module("solve", path, stdout=full, stderr=subprocess.PIPE)
+    assert_write_error(proc, errno.ENOSPC)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "2000", "--text"], ["bounds", "5", "--text"], ["--help"]],
+    ids=["beyond-one-buffer", "within-one-buffer", "help"],
+)
+def test_closed_stdout_pipe(argv):
+    # The reader is gone before the first write, as when `| head` has exited.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module(*argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert_write_error(proc, errno.EPIPE)
 
 
 @pytest.fixture
@@ -454,15 +485,6 @@ def fresh_parser():
     cli._parser.cache_clear()
     yield
     cli._parser.cache_clear()
-
-
-def test_shared_parser_reads_oracle_cap_env_every_call(capsys, monkeypatch, fresh_parser):
-    monkeypatch.setenv("PCNFRANGE_ORACLE_MAX_N", "0")
-    code, out, _ = run(capsys, "analyze", str(GOLDEN_CNF))
-    assert (code, json.loads(out)["oracle"]) == (0, {"run": False})
-    monkeypatch.delenv("PCNFRANGE_ORACLE_MAX_N")
-    code, out, _ = run(capsys, "analyze", str(GOLDEN_CNF))
-    assert (code, json.loads(out)["oracle"]) == (20, {"model_count": 0, "run": True})
 
 
 @pytest.mark.parametrize(

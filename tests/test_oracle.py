@@ -13,7 +13,8 @@ from pcnfrange import (
     sample_pcnf,
     solve,
 )
-from pcnfrange.oracle import clause_bitmap
+from pcnfrange.formula import bit_indices
+from pcnfrange.oracle import MODEL_RETENTION_CAP, clause_bitmap
 
 from tests.helpers import golden_formula, naive_model_set, pf
 
@@ -51,12 +52,13 @@ def test_refuses_beyond_cap():
 
 
 def test_models_retained_only_below_cap():
-    r = solve(pf(2, "a"), retention_cap=2)
-    assert r.model_count == 2
-    assert set(r.models) == {0b01, 0b11}
-    r = solve(PcnfFormula.from_clauses(2, []), retention_cap=2)
+    assert MODEL_RETENTION_CAP == 4
+    r = solve(pf(3, "a"))  # a true: four models, the cap, kept ascending
     assert r.model_count == 4
-    assert r.models == ()
+    assert r.models == (0b001, 0b011, 0b101, 0b111)
+    for spec, count in (("a b, a c", 5), ("", 8)):  # above the cap: none kept
+        r = solve(pf(3, spec))
+        assert (r.model_count, r.models) == (count, ())
 
 
 def test_clause_bitmap_small():
@@ -88,12 +90,10 @@ def test_solve_agrees_with_naive_evaluator():
         n = rng.randint(1, 4)
         m = rng.randint(0, 3**n - 1)
         f = sample_pcnf(n, m, seed=rng.randrange(2**30))
-        result = solve(f, retention_cap=1 << n)
+        models = bit_indices(model_bitmap(n, f.clauses))
         naive = naive_model_set(n, [c.literals() for c in f.clauses])
-        assert result.model_count == len(naive)
-        as_tuples = {
-            tuple(bool(a >> v & 1) for v in range(n)) for a in result.models
-        }
+        assert solve(f).model_count == len(models) == len(naive)
+        as_tuples = {tuple(bool(a >> v & 1) for v in range(n)) for a in models}
         assert as_tuples == naive
 
 

@@ -61,6 +61,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
 
+    def _print_message(self, message, file=None):
+        # argparse swallows an OSError from this write; on stdout (--help)
+        # it must reach main, which exits 74 as for any unwritable output.
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _read_cnf(path: str) -> RawCnf:
     """The formula in ``path`` (``-``: standard input), refused over zero

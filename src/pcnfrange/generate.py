@@ -29,7 +29,7 @@ from .formula import (
     canonical_clauses,
     clause_satisfied,
 )
-from .oracle import clause_bitmap, model_bitmap, solve
+from .oracle import falsifier, model_bitmap, solve
 
 DEFAULT_ENUMERATION_CAP = 12
 DEFAULT_BUDGET = 10_000_000
@@ -251,11 +251,13 @@ class _Bitmaps(dict):
     """Clause bitmaps by universe index, each built on first lookup."""
 
     def __init__(self, universe, n):
-        self.universe, self.n = universe, n
+        self.universe = universe
+        self.full = (1 << (1 << n)) - 1
+        self.falsified = falsifier(n)
 
     def __missing__(self, i):
         c = self.universe[i]
-        bm = self[i] = clause_bitmap(c.pos_mask, c.neg_mask, self.n)
+        bm = self[i] = self.full ^ self.falsified(c.pos_mask, c.neg_mask)
         return bm
 
 
@@ -294,7 +296,7 @@ def _campaign(bitmaps, ranges, mode, sample_count, seed):
     # of its walk or of the sample.  Exhaustive mode builds every bitmap up
     # front; sampling builds them as it ANDs them.
     m = len(bitmaps.universe)
-    full = (1 << (1 << bitmaps.n)) - 1
+    full = bitmaps.full
     if mode is VerifyMode.EXHAUSTIVE:
         row = [bitmaps[i] for i in range(m)]
         for name, lo, hi in ranges:

@@ -416,13 +416,16 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
-def run_module(*argv, **kwargs):
+def run_module(*argv, unbuffered=False, **kwargs):
     """``python -m pcnfrange ARGV`` in a fresh interpreter on this checkout,
-    with the default block-buffered stdout, whose exit-time flush can fail."""
+    by default with a block-buffered stdout, whose exit-time flush can fail;
+    ``unbuffered`` sets ``PYTHONUNBUFFERED``, so each write can fail."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_entries = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "pcnfrange", *argv],
         text=True, env=env, timeout=60, **kwargs,
@@ -474,6 +477,24 @@ def test_closed_stdout_pipe(argv):
     os.close(read_end)
     try:
         proc = run_module(*argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert_write_error(proc, errno.EPIPE)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["analyze", "--help"]], ids=["help", "analyze-help"]
+)
+def test_help_into_closed_pipe_in_both_buffering_modes(argv, unbuffered):
+    # Unbuffered, the help text's own write fails inside argparse, which
+    # swallowed the OSError and exited 0 with nothing on stderr.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module(
+            *argv, unbuffered=unbuffered, stdout=write_end, stderr=subprocess.PIPE
+        )
     finally:
         os.close(write_end)
     assert_write_error(proc, errno.EPIPE)

@@ -32,7 +32,7 @@ from pcnfrange.generate import (
     _universe,
     _walk,
 )
-from pcnfrange.oracle import clause_bitmap
+from pcnfrange.oracle import falsifier
 
 from tests.helpers import cl, naive_sample_strata, naive_strata, naive_universe
 
@@ -322,11 +322,16 @@ def test_verify_sample_builds_clause_bitmaps_lazily(monkeypatch):
     # through oracle.model_bitmap, which this does not count.)
     built = []
 
-    def counting(pos, neg, n):
-        built.append((pos, neg))
-        return clause_bitmap(pos, neg, n)
+    def counting_falsifier(n):
+        falsified = falsifier(n)
 
-    monkeypatch.setattr("pcnfrange.generate.clause_bitmap", counting)
+        def counting(pos, neg):
+            built.append((pos, neg))
+            return falsified(pos, neg)
+
+        return counting
+
+    monkeypatch.setattr("pcnfrange.generate.falsifier", counting_falsifier)
     report = verify_bounds(8, VerifyMode.SAMPLE, sample_count=200, seed=1)
     assert report.ok
     assert 0 < len(built) < len(enumerate_clauses(8)) // 100

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +14,12 @@ from pcnfrange import (
     TooManyVariablesError,
     max_sat_construction,
     model_bitmap,
+    raw_model_bitmap,
     sample_pcnf,
     solve,
 )
-from pcnfrange.formula import bit_indices
-from pcnfrange.oracle import MODEL_RETENTION_CAP, clause_bitmap
+from pcnfrange.formula import Clause, bit_indices, clause_satisfied
+from pcnfrange.oracle import _TABLE_VARS, MODEL_RETENTION_CAP, clause_bitmap
 
 from tests.helpers import golden_formula, naive_model_set, pf
 
@@ -152,3 +157,95 @@ def test_solve_at_the_ceiling():
     # 24 variables, a 2 MiB truth table: x0 and ~x23 leave 2^22 models
     f = pf(24, "a, ~x")
     assert solve(f).model_count == 1 << 22
+
+
+# The kernel tables the low _TABLE_VARS variables and doubles over the
+# rest, so these tests reach three variables past the tables.
+KERNEL_NS = range(1, _TABLE_VARS + 4)
+
+
+def kernel_clauses(rng, n):
+    """A clause over the tabled variables only, one over the higher ones
+    only and one over both (those that exist at n), plus the empty one."""
+    low, high = range(min(n, _TABLE_VARS)), range(_TABLE_VARS, n)
+    picks = [rng.sample(low, min(3, len(low)))]
+    if high:
+        picks.append(rng.sample(high, min(3, len(high))))
+        picks.append([rng.choice(low), *rng.sample(high, min(2, len(high)))])
+    clauses = [Clause(0, 0)]
+    for variables in picks:
+        neg = sum(1 << v for v in variables if rng.getrandbits(1))
+        clauses.append(Clause(sum(1 << v for v in variables) ^ neg, neg))
+    return clauses
+
+
+def truth_table(n, satisfied):
+    """The int whose bit a is ``satisfied(a)``, one assignment at a time."""
+    return int("".join("1" if satisfied(a) else "0" for a in reversed(range(1 << n))), 2)
+
+
+@pytest.mark.parametrize("n", KERNEL_NS)
+def test_clause_bitmap_matches_per_assignment_evaluation(n):
+    rng = random.Random(n)
+    for c in kernel_clauses(rng, n):
+        expected = truth_table(n, lambda a: clause_satisfied(c, a))
+        assert clause_bitmap(c.pos_mask, c.neg_mask, n) == expected
+
+
+@pytest.mark.parametrize("n", KERNEL_NS)
+def test_model_bitmaps_match_the_naive_evaluator_on_both_sides_of_the_tables(n):
+    # Unit clauses pin all but three variables, so the model set stays small
+    # while the other clauses cross the tabled/doubled boundary.
+    rng = random.Random(1000 + n)
+    pinned = rng.sample(range(n), max(0, n - 3))
+    clauses = kernel_clauses(rng, n)[1:] + [
+        Clause(0, 1 << v) if rng.getrandbits(1) else Clause(1 << v, 0) for v in pinned
+    ]
+    literals = [c.literals() for c in clauses]
+    naive = naive_model_set(n, literals)
+    bitmap = model_bitmap(n, clauses)
+    models = {tuple(bool(a >> v & 1) for v in range(n)) for a in bit_indices(bitmap)}
+    assert models == naive
+    # Raw clauses: repeated literals collapse and a tautology is skipped.
+    raw = [lits + lits[:1] for lits in literals] + [(1, -1)]
+    assert raw_model_bitmap(n, raw) == bitmap
+    assert raw_model_bitmap(n, raw + [()]) == 0  # the empty clause: no model
+    assert model_bitmap(n, [Clause(0, 0)]) == 0
+
+
+def test_variables_past_num_vars_are_ignored():
+    # As with the per-variable loop the kernel replaced: such a literal
+    # leaves an empty clause, and never shifts a table by 2^26 bits.
+    assert raw_model_bitmap(3, [(-27,)]) == raw_model_bitmap(3, [()]) == 0
+    assert clause_bitmap(1 << 30, 1 << 26, 3) == 0
+
+
+# Seeded random 3-CNF at the ratio 4.25 over the oracle's ceiling of 24
+# variables; the child prints its own peak RSS.  ru_maxrss would report the
+# pytest process's, which the child inherits across fork and exec.
+SOLVE_AT_THE_CEILING = """
+import random
+from pcnfrange import Clause, PcnfFormula, solve
+rng = random.Random(24)
+clauses = set()
+while len(clauses) < 102:
+    variables = rng.sample(range(1, 25), 3)
+    clauses.add(Clause.from_literals(v if rng.getrandbits(1) else -v for v in variables))
+print(solve(PcnfFormula.from_clauses(24, clauses)).model_count)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_solve_at_the_ceiling_peaks_under_64_mb():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_entries = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+    proc = subprocess.run(
+        [sys.executable, "-c", SOLVE_AT_THE_CEILING],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    model_count, peak_kb = map(int, proc.stdout.split())
+    assert model_count == 5
+    assert peak_kb < 64 * 1024

@@ -132,6 +132,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         }
         sys.stdout.write(to_json(doc))
         return EX_UNSAT
+    del raw  # the raw clauses are not needed past normalize
 
     effective_n = None
     if args.recount_vars:

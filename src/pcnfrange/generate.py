@@ -11,7 +11,6 @@ elsewhere.
 """
 from __future__ import annotations
 
-import gc
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -28,6 +27,7 @@ from .formula import (
     all_true,
     canonical_clauses,
     clause_satisfied,
+    collector_paused,
 )
 from .oracle import falsifier, model_bitmap, solve
 
@@ -54,26 +54,20 @@ class VerifyMode(Enum):
 @lru_cache(maxsize=4)
 def _universe(n: int) -> tuple[Clause, ...]:
     # Every polarity split of every nonempty variable subset, keyed
-    # pos << n | neg per width.  Up to 531k clauses and nothing cyclic among
-    # them, so the cyclic collector is paused while they are built, and its
-    # deferred young-generation pass runs here, not in the caller's next loop.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        by_width: dict[int, list[int]] = {w: [] for w in range(1, n + 1)}
-        for occ in range(1, 1 << n):
-            keys = by_width[occ.bit_count()]
-            sub = occ
-            while True:
-                keys.append(sub << n | occ ^ sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & occ
+    # pos << n | neg per width.  `canonical_clauses` builds the up to 531k
+    # clauses with the collector paused; the pass it defers runs here, not
+    # in the caller's next loop.
+    by_width: dict[int, list[int]] = {w: [] for w in range(1, n + 1)}
+    for occ in range(1, 1 << n):
+        keys = by_width[occ.bit_count()]
+        sub = occ
+        while True:
+            keys.append(sub << n | occ ^ sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & occ
+    with collector_paused(promote=True):
         return canonical_clauses(n, by_width)
-    finally:
-        if was_enabled:
-            gc.enable()
-            gc.collect(1)
 
 
 def enumerate_clauses(n: int) -> tuple[Clause, ...]:

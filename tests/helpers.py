@@ -10,6 +10,8 @@ comma-separated clauses.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import random
 from pathlib import Path
@@ -29,6 +31,18 @@ from pcnfrange.formula import clause_sort_key
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_CNF = FIXTURES / "detector_blind_n3_m17.cnf"
+
+
+@contextlib.contextmanager
+def collector_set(enabled: bool):
+    """Run the block with the cyclic collector enabled or disabled, then
+    restore the setting found on entry."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def lit(token: str) -> int:

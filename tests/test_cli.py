@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -437,6 +438,42 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     proc = run_module("analyze", path, capture_output=True)
     assert proc.returncode == 20
     assert "clause_class key=a" in json.loads(proc.stdout)["reasons"]
+
+
+# The child prints its own peak RSS: ru_maxrss would report the pytest
+# process's, which the child inherits across fork and exec.
+ANALYZE_PEAK = """
+import os, sys
+from pcnfrange import cli
+sys.stdout = open(os.devnull, "w")
+code = cli.main(["analyze", sys.argv[1]])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak, file=sys.__stdout__)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_analyze_frees_the_raw_clauses_before_screening(tmp_path):
+    # Seeded random 3-CNF, n=1000 and 50k clauses.  Holding the parsed
+    # clauses through screen and report peaks at about 60.5 MB, dropping
+    # them after normalize at about 53 MB.
+    rng = random.Random(50_000)
+    lines = ["p cnf 1000 50000"]
+    for _ in range(50_000):
+        variables = rng.sample(range(1, 1001), 3)
+        lines.append(" ".join(str(v if rng.getrandbits(1) else -v) for v in variables) + " 0")
+    path = write(tmp_path, "random.cnf", "\n".join(lines) + "\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_entries = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+    proc = subprocess.run(
+        [sys.executable, "-c", ANALYZE_PEAK, path],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kb < 57 * 1024
 
 
 def assert_write_error(proc, errnum, suffix=""):

@@ -1,7 +1,10 @@
 import random
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcnfrange import (
     DimacsWarning,
@@ -14,6 +17,7 @@ from pcnfrange import (
     sample_pcnf,
     write_dimacs,
 )
+from pcnfrange import dimacs
 from pcnfrange.dimacs import DimacsError
 
 from tests.helpers import GOLDEN_CNF, cl, golden_formula
@@ -170,6 +174,87 @@ def test_parse_rejects_non_ascii_and_control_separators(token):
     assert str(exc.value) == f"line 2: non-integer token {token!r}"
     with pytest.raises(MalformedHeaderError, match="line 1: bad header"):
         parse_dimacs(f"p cnf 3{token[1]}1\n1 0\n")
+
+
+def parse_outcome(text):
+    """The RawCnf or the error of ``parse_dimacs(text)``, the warnings it
+    emitted (where they point included), and whether the line loop ran."""
+    with mock.patch.object(dimacs, "_read_lines", wraps=dimacs._read_lines) as loop:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = parse_dimacs(text)
+            except DimacsError as exc:
+                result = (type(exc), str(exc))
+    notes = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return result, notes, loop.called
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS text in plain layouts as three parts (header with any leading
+    comments, clause section, ``%`` trailer), its line end, and whether it
+    is valid.  A comment line put between the last two parts reaches the
+    line loop."""
+    n = draw(st.integers(1, 6))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, max_size=4), max_size=8))
+    tokens = [str(lit) for clause in clauses for lit in [*clause, 0]]
+    if clauses and draw(st.booleans()):
+        out_of_range = str(draw(st.sampled_from([n + 1, -n - 1])))
+        tokens.insert(draw(st.integers(0, len(tokens) - 1)), out_of_range)
+    if tokens and draw(st.booleans()):
+        tokens.pop()  # usually a missing final 0
+    padded = draw(st.lists(st.booleans(), min_size=len(tokens), max_size=len(tokens)))
+    tokens = [  # zero-padded: "-01" and "00" are DIMACS integers too
+        tok.replace("-", "-0") if pad and "-" in tok else "0" * pad + tok
+        for tok, pad in zip(tokens, padded)
+    ]
+    seps = draw(st.lists(st.sampled_from([" ", "\t", "\n", " \n", "\n\n", "\v", "\f "]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    section = "".join(tok + sep for tok, sep in zip(tokens, seps))
+    declared = draw(st.sampled_from([len(clauses), len(clauses) + 1, 0]))
+    head = draw(st.sampled_from(["", "c a comment\n", "\n  c indented\n"]))
+    trailer = draw(st.sampled_from(["", "%\n0\n", " %\n0\n\n", "%"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    parts = (head + f"p cnf {n} {declared}\n", section, trailer)
+    valid = (
+        int((tokens or ["0"])[-1]) == 0
+        and all(abs(int(tok)) <= n for tok in tokens)
+        and not (trailer and section and not section.endswith("\n"))  # "0 %"
+    )
+    return [part.replace("\n", eol) for part in parts], eol, valid
+
+
+@settings(max_examples=300, deadline=None)
+@given(dimacs_texts())
+def test_bulk_reader_and_line_loop_agree(case):
+    (head, section, trailer), eol, valid = case
+    text = head + section + trailer
+    result, notes, line_loop_ran = parse_outcome(text)
+    # A comment line after the header sends the same clauses through the
+    # line loop; the section ends in a line end, or it gets one first.
+    if section and not section.endswith(eol):
+        section += eol
+    forced = head + section + "c" + eol + trailer
+    forced_result, forced_notes, forced_loop_ran = parse_outcome(forced)
+    assert forced_loop_ran
+    if valid:
+        assert not line_loop_ran
+        assert (result, notes) == (forced_result, forced_notes)
+        assert all(filename == __file__ for _, _, filename, _ in notes)  # the caller
+    else:
+        # Refused by the bulk reader: every error comes from the line loop.
+        assert line_loop_ran
+        assert isinstance(result, tuple) and issubclass(result[0], DimacsError)
+
+
+def test_satlib_file_takes_the_bulk_path():
+    text = "c uf-style\np cnf 4 3\n 1 -2 3 0\n-4\n2 0\n\n4 0\n%\n0\n\n"
+    with mock.patch.object(dimacs, "_read_lines", side_effect=AssertionError):
+        raw = parse_dimacs(text)
+    assert raw.clauses == ((1, -2, 3), (-4, 2), (4,))
+    assert parse_dimacs(text.replace("%", "c\n%")) == raw  # line loop
 
 
 def test_write_single_clause():

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from pcnfrange.formula import (
     literal_masks,
 )
 
-from tests.helpers import cl
+from tests.helpers import cl, collector_set
 
 
 def test_unit_clause_satisfied_by_matching_assignment():
@@ -185,6 +186,14 @@ def test_canonical_clauses_sorts_mixed_widths_given_out_of_order():
     assert list(keys_by_width) == [3, 1, 2]
     assert canonical_clauses(3, keys_by_width) == tuple(sorted(clauses, key=clause_sort_key))
     assert canonical_clauses(3, {}) == ()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_canonical_clauses_restores_the_collector_when_the_build_fails(enabled):
+    with collector_set(enabled):
+        with pytest.raises(TypeError):
+            canonical_clauses(3, {1: ["not a key"]})
+        assert gc.isenabled() is enabled
 
 
 def test_from_clauses_rejects_duplicates():

@@ -34,7 +34,13 @@ from pcnfrange.generate import (
 )
 from pcnfrange.oracle import falsifier
 
-from tests.helpers import cl, naive_sample_strata, naive_strata, naive_universe
+from tests.helpers import (
+    cl,
+    collector_set,
+    naive_sample_strata,
+    naive_strata,
+    naive_universe,
+)
 
 
 def width_histogram(clauses):
@@ -84,21 +90,11 @@ def test_universe_matches_the_naive_enumeration(n):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_universe_build_leaves_the_collector_as_it_found_it(enabled):
     # The build pauses the cyclic collector; a caller's setting survives it.
-    was_enabled = gc.isenabled()
-    try:
-        if enabled:
-            gc.enable()
-        else:
-            gc.disable()
+    with collector_set(enabled):
         for n in range(1, 7):
             _universe.cache_clear()
             enumerate_clauses(n)
             assert gc.isenabled() is enabled
-    finally:
-        if was_enabled:
-            gc.enable()
-        else:
-            gc.disable()
 
 
 def test_enumeration_cap():

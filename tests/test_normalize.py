@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from pcnfrange import (
 )
 from pcnfrange.formula import clause_sort_key
 
-from tests.helpers import cl, raw
+from tests.helpers import cl, collector_set, raw
 
 
 def test_duplicate_literal_collapsed():
@@ -40,6 +41,18 @@ def test_three_rules_together():
 def test_empty_clause_rejected():
     with pytest.raises(EmptyClauseError):
         normalize(RawCnf(2, ((1,), ())))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_normalize_leaves_the_collector_as_it_found_it(enabled):
+    # Clauses are built with the cyclic collector paused; a caller's setting
+    # survives that, and an empty clause propagating out.
+    with collector_set(enabled):
+        normalize(raw(3, "a b, ~c, b a"))
+        assert gc.isenabled() is enabled
+        with pytest.raises(EmptyClauseError):
+            normalize(RawCnf(2, ((1,), ())))
+        assert gc.isenabled() is enabled
 
 
 def test_variable_universe_preserved():

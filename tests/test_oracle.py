@@ -160,8 +160,12 @@ def test_solve_at_the_ceiling():
 
 
 # The kernel tables the low _TABLE_VARS variables and doubles over the
-# rest, so these tests reach three variables past the tables.
-KERNEL_NS = range(1, _TABLE_VARS + 4)
+# rest, so these tests reach three variables past the tables; those cases
+# take seconds each.
+KERNEL_NS = [
+    pytest.param(n, marks=pytest.mark.slow) if n > _TABLE_VARS else n
+    for n in range(1, _TABLE_VARS + 4)
+]
 
 
 def kernel_clauses(rng, n):

@@ -11,6 +11,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -72,12 +73,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_cnf(path: str) -> RawCnf:
     """The formula in ``path`` (``-``: standard input), refused over zero
-    variables: the bounds, the clause universe and ``verify`` need n >= 1."""
+    variables: the bounds, the clause universe and ``verify`` need n >= 1.
+
+    Each parser warning is one ``warning: ...`` line on stderr, on every
+    call, not the ``warnings`` module's source-quoting, once-per-message
+    display."""
     try:
         data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
         raise DimacsError(f"cannot read {path}: {exc}") from exc
-    raw = parse_dimacs(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        raw = parse_dimacs(data)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     if raw.num_vars == 0:
         raise ValueError("formula declares zero variables")
     return raw

@@ -14,11 +14,17 @@ the natural range slip through every rule here.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .bounds import BoundsTable, RangeClass, bounds_for, classify_count
 from .formula import PcnfFormula, bit_indices
+
+#: Masks over at most this many variables are perfect dict keys: CPython
+#: hashes an int as its value mod 2^61 - 1 (on 64-bit builds), so wider
+#: sparse masks collide; three bits of 1000 hash to three powers of two.
+_MASK_KEY_VARS = sys.hash_info.modulus.bit_length()
 
 
 class Verdict(Enum):
@@ -70,23 +76,36 @@ class OccurrenceCensus:
 class ClauseClassTable:
     """Clause-class counts from the one-scan counting algorithm.
 
-    ``occupancy_counts`` maps each occurring variable set, as a mask, to the
-    number of clauses on exactly that set, in first-seen order.  ``counts``
-    re-keys it by ascending variable indices; ``ceilings`` maps each
-    occurring width k to 2^k, the most clauses a width-k set can carry.
-    ``clauses_scanned`` instruments the single-scan property.
+    ``occupancy_counts`` is the scan's own dict: the number of clauses on
+    each occurring variable set, in first-seen order.  A set is keyed by
+    its variable mask when the formula has at most 61 variables (the bit
+    length of the int hash modulus on 64-bit CPython) and by its ascending
+    variable indices beyond that, where masks hash poorly.  ``counts``
+    reads either form as ascending variable indices; ``ceilings`` maps
+    each occurring width k to 2^k, the most clauses a width-k set can
+    carry.  ``clauses_scanned`` instruments the single-scan property.
     """
 
-    occupancy_counts: dict[int, int] = field(default_factory=dict)
+    occupancy_counts: dict[int | tuple[int, ...], int] = field(default_factory=dict)
     clauses_scanned: int = 0
 
     @property
     def counts(self) -> dict[tuple[int, ...], int]:
-        return {bit_indices(occ): c for occ, c in self.occupancy_counts.items()}
+        counts = self.occupancy_counts
+        if _keyed_by_indices(counts):
+            return dict(counts)
+        return {bit_indices(occ): c for occ, c in counts.items()}
 
     @property
     def ceilings(self) -> dict[int, int]:
-        return {k: 1 << k for k in map(int.bit_count, self.occupancy_counts)}
+        counts = self.occupancy_counts
+        width = len if _keyed_by_indices(counts) else int.bit_count
+        return {k: 1 << k for k in map(width, counts)}
+
+
+def _keyed_by_indices(counts: dict) -> bool:
+    """Whether a class table's keys are variable indices, not masks."""
+    return isinstance(next(iter(counts), None), tuple)
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,17 +238,25 @@ def clause_class_screen(
     class that stopped it is the only saturated one); the two modes never
     disagree on the verdict.
     """
-    counts: dict[int, int] = {}
+    # Key each class by its mask while masks hash to themselves, by its
+    # variable indices past that; see ClauseClassTable.
+    by_indices = formula.num_vars > _MASK_KEY_VARS
+    width = len if by_indices else int.bit_count
+    counts: dict = {}
     scanned = 0
     for clause in formula.clauses:
         scanned += 1
-        occ = clause.pos_mask | clause.neg_mask
-        c = counts[occ] = counts.get(occ, 0) + 1
-        if early_exit and c == 1 << occ.bit_count():
+        key = clause.pos_mask | clause.neg_mask
+        if by_indices:
+            key = bit_indices(key)
+        c = counts[key] = counts.get(key, 0) + 1
+        if early_exit and c == 1 << width(key):
             break
-    # Only saturated classes get tuple keys; reasons go in tuple-key order.
+    # Reasons go in tuple-key order; only saturated masks get tuple keys.
     saturated = sorted(
-        (bit_indices(occ), c) for occ, c in counts.items() if c == 1 << occ.bit_count()
+        (key if by_indices else bit_indices(key), c)
+        for key, c in counts.items()
+        if c == 1 << width(key)
     )
     reasons = tuple(
         Reason(rule="clause_class", class_key=key, count=c, threshold=c)

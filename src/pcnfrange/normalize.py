@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import ne
 
 from .formula import PcnfFormula, RawCnf, canonical_clauses, literal_masks
 
@@ -51,9 +53,12 @@ def normalize(raw: RawCnf) -> tuple[PcnfFormula, NormalizationStats]:
     tautologies = 0
     scanned = 0
 
-    # One int pos << n | neg per clause, in one set per width, which
-    # `canonical_clauses` sorts into the canonical clause order.
-    by_width: defaultdict[int, set[int]] = defaultdict(set)
+    # One int pos << n | neg per clause, in one list per width.  Sorting
+    # puts repeats side by side, where comparing each int with the one
+    # before drops them.  A set would hash each int, and an int over 61 bits
+    # hashes as its value mod 2^61 - 1, which folds sparse clause masks onto
+    # few hash values.
+    by_width: defaultdict[int, list[int]] = defaultdict(list)
     for clause in raw.clauses:
         if not clause:
             raise EmptyClauseError("input contains an empty clause")
@@ -66,8 +71,11 @@ def normalize(raw: RawCnf) -> tuple[PcnfFormula, NormalizationStats]:
         if pos & neg:
             tautologies += 1
             continue
-        by_width[width].add(pos << n | neg)
+        by_width[width].append(pos << n | neg)
 
+    for width, keys in by_width.items():
+        keys.sort()
+        by_width[width] = list(compress(keys, map(ne, keys, chain((None,), keys))))
     ordered = canonical_clauses(n, by_width)
     dup_clauses = len(raw.clauses) - tautologies - len(ordered)
     stats = NormalizationStats(

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 from .bounds import BoundsTable, Construction, clause_distribution
 from .detectors import Reason, ScreenResult, Verdict
-from .formula import bit_indices
 from .oracle import OracleResult
 
 if TYPE_CHECKING:
@@ -127,8 +126,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "clause_class": {
                 "verdict": screen.clause_class.outcome.value,
                 "C": {
-                    class_key_name(bit_indices(occ), num_vars): count
-                    for occ, count in table.occupancy_counts.items()
+                    class_key_name(key, num_vars): count
+                    for key, count in table.counts.items()
                 },
                 "U": {str(width): cap for width, cap in table.ceilings.items()},
             },

@@ -1,8 +1,9 @@
 """Shared test builders: a compact clause DSL, the golden 17-clause formula,
 and the independent references `naive_model_set` (for the oracle),
-`naive_census` (for the occurrence census), `naive_universe` (for the
-clause enumeration), `naive_strata` (for the exhaustive verify campaign)
-and `naive_sample_strata` (for the sampled one).
+`naive_normalize` (for the normalizer), `naive_census` (for the
+occurrence census), `naive_universe` (for the clause enumeration),
+`naive_strata` (for the exhaustive verify campaign) and
+`naive_sample_strata` (for the sampled one).
 
 ``cl("a ~b c")`` builds a clause from space-separated letters, ``~`` (or
 ``-``) marking negation; ``pf(n, "a, ~b, a b")`` builds a formula from
@@ -20,6 +21,8 @@ from typing import Sequence
 from pcnfrange import (
     Clause,
     Counterexample,
+    EmptyClauseError,
+    NormalizationStats,
     OccurrenceCensus,
     PcnfFormula,
     RawCnf,
@@ -101,6 +104,37 @@ def naive_model_set(
         ):
             models.add(values)
     return models
+
+
+def naive_normalize(raw_cnf: RawCnf) -> tuple[PcnfFormula, NormalizationStats]:
+    """`normalize` by sets: each clause's literals as a set, the distinct
+    non-tautological ones as a set of (positive, negative) mask pairs,
+    sorted by `clause_sort_key`.
+
+    Shares no code with the normalizer's per-width sort and dedupe; exists
+    to check it.
+    """
+    distinct = set()
+    dup_literals = tautologies = 0
+    for clause in raw_cnf.clauses:
+        if not clause:
+            raise EmptyClauseError("input contains an empty clause")
+        literals = set(clause)
+        dup_literals += len(clause) - len(literals)
+        if any(-lit in literals for lit in literals):
+            tautologies += 1
+            continue
+        pos = sum(1 << (lit - 1) for lit in literals if lit > 0)
+        neg = sum(1 << (-lit - 1) for lit in literals if lit < 0)
+        distinct.add((pos, neg))
+    clauses = sorted((Clause(pos, neg) for pos, neg in distinct), key=clause_sort_key)
+    stats = NormalizationStats(
+        duplicate_literals_removed=dup_literals,
+        tautological_clauses_dropped=tautologies,
+        duplicate_clauses_dropped=len(raw_cnf.clauses) - tautologies - len(distinct),
+        literals_scanned=sum(map(len, raw_cnf.clauses)),
+    )
+    return PcnfFormula(raw_cnf.num_vars, tuple(clauses)), stats
 
 
 def naive_census(formula: PcnfFormula) -> OccurrenceCensus:

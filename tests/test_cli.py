@@ -104,6 +104,28 @@ def test_recount_vars_keeps_declared_names_in_reasons(capsys, tmp_path):
     assert out[end:].endswith("  reason: clause_class key=30,40\n")
 
 
+@pytest.mark.parametrize(
+    "flags, classes, ceilings",
+    [
+        ([], {"1200": 1, "5,700": 4, "5,700,1200": 1}, {"1": 2, "2": 4, "3": 8}),
+        (["--early-exit"], {"1200": 1, "5,700": 4}, {"1": 2, "2": 4}),
+    ],
+    ids=["full-scan", "early-exit"],
+)
+def test_analyze_padded_file_past_the_hash_width(capsys, tmp_path, flags, classes, ceilings):
+    # 1200 declared variables, three used: the scan keys classes by their
+    # variable indices.  In canonical order the unit on 1200 comes first,
+    # then the saturated class {5, 700}, where --early-exit stops.
+    clauses = [(5, 700, -1200), (1200,)] + [(a, b) for a in (5, -5) for b in (700, -700)]
+    text = "p cnf 1200 6\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+    code, out, _ = run(capsys, "analyze", write(tmp_path, "padded.cnf", text), *flags)
+    doc = json.loads(out)
+    assert code == 20
+    assert doc["detectors"]["clause_class"]["C"] == classes
+    assert doc["detectors"]["clause_class"]["U"] == ceilings
+    assert doc["reasons"] == ["clause_class key=5,700"]
+
+
 def test_analyze_accepts_byte_order_mark(capsys, tmp_path):
     path = tmp_path / "bom.cnf"
     path.write_bytes(b"\xef\xbb\xbfp cnf 3 1\n1 0\n")
@@ -311,6 +333,28 @@ def test_generate_rejects_bad_witness(capsys):
     )
     assert code == 64
     assert "witness must be 2 characters" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve", "normalize"])
+def test_clause_count_warning_is_one_line_on_every_call(capsys, tmp_path, command):
+    w1 = write(tmp_path, "w1.cnf", "p cnf 3 5\n1 0\n")
+    w2 = write(tmp_path, "w2.cnf", "p cnf 3 4\n2 0\n")
+    warned = []
+    for path in (w1, w2, w1):
+        _, _, err = run(capsys, command, path)
+        warned += [line for line in err.splitlines() if not line.startswith("removed ")]
+    assert warned == [
+        "warning: header declares 5 clauses but 1 found",
+        "warning: header declares 4 clauses but 1 found",
+        "warning: header declares 5 clauses but 1 found",
+    ]
+
+
+def test_clause_count_warning_in_a_fresh_interpreter(tmp_path):
+    path = write(tmp_path, "w1.cnf", "p cnf 3 5\n1 0\n")
+    proc = run_module("solve", path, capture_output=True)
+    assert proc.returncode == 10
+    assert proc.stderr.splitlines() == ["warning: header declares 5 clauses but 1 found"]
 
 
 def test_solve_exit_codes(capsys, tmp_path):

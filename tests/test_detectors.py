@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -11,16 +12,16 @@ from pcnfrange import (
     PcnfFormula,
     RangeClass,
     Verdict,
+    build_report,
     clause_class_screen,
     enumerate_clauses,
     occurrence_census,
     occurrence_screen,
+    report_to_dict,
     sample_pcnf,
     screen_all,
     solve,
 )
-
-from pcnfrange.formula import bit_indices
 
 from tests.helpers import cl, golden_formula, naive_census, pf
 
@@ -178,6 +179,33 @@ def test_clause_class_unknown_on_golden_formula():
     assert table.ceilings == {1: 2, 2: 4, 3: 8}
 
 
+def check_class_table(f, early_exit):
+    """Check the scan's table, reasons and stop point against a plain count
+    of each clause's variable indices over the prefix the scan must read."""
+    reference = Counter()
+    stop = len(f.clauses)
+    for i, clause in enumerate(f.clauses):
+        occ = clause.pos_mask | clause.neg_mask
+        key = tuple(v for v in range(f.num_vars) if occ >> v & 1)
+        reference[key] += 1
+        if early_exit and reference[key] == 2 ** len(key):
+            stop = i + 1
+            break
+    verdict, table = clause_class_screen(f, early_exit=early_exit)
+    assert table.clauses_scanned == stop
+    assert list(table.counts.items()) == list(reference.items())  # first-seen order
+    ceilings = {len(key): 2 ** len(key) for key in reference}
+    assert list(table.ceilings.items()) == list(ceilings.items())
+    assert all(c <= 2 ** len(key) for key, c in reference.items())
+    saturated = sorted((k, c) for k, c in reference.items() if c == 2 ** len(k))
+    assert [(r.class_key, r.count, r.threshold) for r in verdict.reasons] == [
+        (k, c, c) for k, c in saturated
+    ]
+    if early_exit:
+        assert len(saturated) <= 1
+    return reference, table
+
+
 def test_clause_class_table_consistency():
     # in both modes the table, its first-seen order and the reasons match a
     # plain count of canonical keys over the scanned prefix
@@ -186,19 +214,43 @@ def test_clause_class_table_consistency():
         n = rng.randint(1, 6)
         f = sample_pcnf(n, rng.randint(0, 3**n - 1), seed=rng.randrange(2**30))
         for early_exit in (False, True):
-            verdict, table = clause_class_screen(f, early_exit=early_exit)
-            keys = [bit_indices(c.occupancy) for c in f.clauses[: table.clauses_scanned]]
-            reference = Counter(keys)
-            assert table.counts == reference
-            assert list(table.counts) == list(dict.fromkeys(keys))
-            assert table.ceilings == {len(key): 2 ** len(key) for key in keys}
-            assert all(c <= 1 << len(key) for key, c in table.counts.items())
-            saturated = sorted(k for k, c in reference.items() if c == 2 ** len(k))
-            assert [r.class_key for r in verdict.reasons] == saturated
-            if early_exit:
-                assert len(saturated) <= 1
-            else:
-                assert table.clauses_scanned == len(f.clauses)
+            check_class_table(f, early_exit)
+
+
+# Up to this many variables a clause mask hashes to itself; the scan keys
+# wider formulas' classes by their variable indices.
+MASK_KEY_VARS = sys.hash_info.modulus.bit_length()
+
+
+def wide_formula(rng, n):
+    """Random clauses over a few variables at both ends of n, where masks
+    2^0 and 2^61 hash alike past 61 variables, with one saturated class."""
+    pool = sorted({0, 1, 2, 59, 60, 61, 62, n - 2, n - 1} & set(range(n)))
+    clauses = {
+        Clause.from_literals(rng.choice((v + 1, -v - 1)) for v in rng.sample(pool, k))
+        for k in (rng.randint(1, 3) for _ in range(40))
+    }
+    a, b = (v + 1 for v in rng.sample(pool, 2))
+    clauses.update(Clause.from_literals((x, y)) for x in (a, -a) for y in (b, -b))
+    clauses = list(clauses)
+    rng.shuffle(clauses)  # the scan reads clauses in any order
+    return PcnfFormula(n, tuple(clauses))
+
+
+@pytest.mark.parametrize("n", [60, 61, 62, 64])
+def test_clause_class_table_across_the_hash_width(n):
+    rng = random.Random(n)
+    for _ in range(50):
+        f = wide_formula(rng, n)
+        for early_exit in (False, True):
+            reference, table = check_class_table(f, early_exit)
+            keys = list(table.occupancy_counts)
+            assert all(isinstance(k, int if n <= MASK_KEY_VARS else tuple) for k in keys)
+            assert len(set(map(hash, keys))) == len(keys)  # no two keys collide
+            doc = report_to_dict(build_report(screen_all(f, early_exit=early_exit)))
+            assert doc["detectors"]["clause_class"]["C"] == {
+                ",".join(str(v + 1) for v in key): c for key, c in reference.items()
+            }
 
 
 def test_clause_class_reasons_in_tuple_key_order():

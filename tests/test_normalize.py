@@ -14,7 +14,7 @@ from pcnfrange import (
 )
 from pcnfrange.formula import clause_sort_key
 
-from tests.helpers import cl, collector_set, raw
+from tests.helpers import cl, collector_set, naive_normalize, raw
 
 
 def test_duplicate_literal_collapsed():
@@ -135,3 +135,31 @@ def test_renormalization_is_identity(n, data):
     f2, stats = normalize(RawCnf(n, tuple(c.literals() for c in f1.clauses)))
     assert f2 == f1
     assert stats.duplicate_clauses_dropped == 0
+
+
+@st.composite
+def messy_raw_cnfs(draw):
+    """Raw CNF whose clauses repeat in shuffled literal order, double a
+    literal or join a literal's complement.  At n = 62 and 1000 the clause
+    masks pass the 61 bits an int hashes to itself; variables 1 and 62 give
+    masks 2^0 and 2^61, which hash alike."""
+    n = draw(st.sampled_from([3, 61, 62, 1000]))
+    edges = sorted({1, 2, 61, 62, n} & set(range(1, n + 1)))
+    variables = st.one_of(st.sampled_from(edges), st.integers(1, n))
+    literal = st.builds(lambda v, neg: -v if neg else v, variables, st.booleans())
+    base = draw(st.lists(st.lists(literal, min_size=1, max_size=4), min_size=1, max_size=8))
+    clauses = []
+    for _ in range(draw(st.integers(0, 24))):
+        clause = list(draw(st.permutations(draw(st.sampled_from(base)))))
+        edit = draw(st.sampled_from(["none", "double", "complement"]))
+        if edit != "none":
+            lit = draw(st.sampled_from(clause))
+            clause.insert(draw(st.integers(0, len(clause))), lit if edit == "double" else -lit)
+        clauses.append(tuple(clause))
+    return RawCnf(n, tuple(clauses))
+
+
+@settings(max_examples=300, deadline=None)
+@given(messy_raw_cnfs())
+def test_normalize_equals_the_set_based_reference(raw_cnf):
+    assert normalize(raw_cnf) == naive_normalize(raw_cnf)

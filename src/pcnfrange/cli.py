@@ -222,6 +222,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"sample count must be >= 0, got {args.count}")
     if args.budget < 0:
         raise UsageError(f"budget must be >= 0, got {args.budget}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
     report = verify_bounds(
         args.n,
         VerifyMode(args.mode),

@@ -159,22 +159,37 @@ def collector_paused(promote: bool = False):
 
 
 def canonical_clauses(
-    n: int, keys_by_width: Mapping[int, Iterable[int]]
+    n: int, keys_by_width: Mapping[int, list[int]]
 ) -> tuple[Clause, ...]:
     """Clauses in canonical order from their ints ``pos << n | neg``.
 
-    ``keys_by_width`` maps each width to its clauses' ints, with no repeats.
-    Within one width the ints sort in (pos, neg) order, so sorting each
-    width's ints gives `clause_sort_key` order without building a tuple
-    per clause.  The clauses are built with the collector paused.
+    ``keys_by_width`` maps each width to a list of its clauses' ints, with
+    no repeats.  Within one width the ints sort in (pos, neg) order, so
+    sorting each width's ints gives `clause_sort_key` order without
+    building a tuple per clause.  Each list is consumed: sorted in place,
+    built into clauses and emptied, so the ints of finished widths are
+    freed before the next width is built.
+
+    When there are at least as many ints as mask values (2^n of them, as
+    in every clause universe), every mask is taken from one list of the
+    2^n ints, so all clauses share one int object per mask value.  Fewer
+    clauses split each int into fresh masks, and no list of 2^n ints is
+    built.  The clauses are built with the collector paused.
     """
     low = (1 << n) - 1
+    shared = low < sum(map(len, keys_by_width.values()))
+    masks = list(range(low + 1)) if shared else None
+    clauses: list[Clause] = []
     with collector_paused():
-        return tuple(
-            Clause(k >> n, k & low)
-            for w in sorted(keys_by_width)
-            for k in sorted(keys_by_width[w])
-        )
+        for w in sorted(keys_by_width):
+            keys = keys_by_width[w]
+            keys.sort()
+            if shared:
+                clauses += [Clause(masks[k >> n], masks[k & low]) for k in keys]
+            else:
+                clauses += [Clause(k >> n, k & low) for k in keys]
+            keys.clear()
+    return tuple(clauses)
 
 
 def clause_satisfied(clause: Clause, assignment: Assignment) -> bool:

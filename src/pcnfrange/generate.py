@@ -55,8 +55,10 @@ class VerifyMode(Enum):
 def _universe(n: int) -> tuple[Clause, ...]:
     # Every polarity split of every nonempty variable subset, keyed
     # pos << n | neg per width.  `canonical_clauses` builds the up to 531k
-    # clauses with the collector paused; the pass it defers runs here, not
-    # in the caller's next loop.
+    # clauses width by width, emptying each width's keys as it goes, with
+    # the collector paused; the pass it defers runs here, not in the
+    # caller's next loop.  The 3^n - 1 clauses outnumber the 2^n mask
+    # values, so they share one int per mask value: about 56 B per clause.
     by_width: dict[int, list[int]] = {w: [] for w in range(1, n + 1)}
     for occ in range(1, 1 << n):
         keys = by_width[occ.bit_count()]
@@ -137,12 +139,19 @@ def _draws(rng: random.Random, population: int, sizes: Iterable[int]):
         yield (k, every, chosen) if target < k else (k, sorted(chosen), ())
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def sample_pcnf(n: int, m_clauses: int, seed: int) -> PcnfFormula:
     """A uniform random ``m_clauses``-subset of the clause universe.
 
     Index sampling over the canonically ordered universe; identical seeds
-    reproduce identical formulas everywhere.
+    reproduce identical formulas everywhere.  Raises ValueError on a
+    negative seed, which `random.Random` would treat as its absolute value.
     """
+    _check_seed(seed)
     universe = enumerate_clauses(n)
     if not 0 <= m_clauses <= len(universe):
         raise ValueError(f"cannot draw {m_clauses} of the {len(universe)} clauses for n={n}")
@@ -351,7 +360,9 @@ def verify_bounds(
     formulas.  Sample mode draws ``sample_count`` seeded random formulas with
     clause counts uniform over the selected strata.  The report also records
     tightness: the extremal constructions hit f(n) and g(n) exactly.
+    Raises ValueError on a negative seed, in either mode.
     """
+    _check_seed(seed)
     table = bounds_for(n)
     ranges = _strata_ranges(table, include_beyond_f, include_natural_range)
     if not ranges:

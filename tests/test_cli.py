@@ -234,6 +234,8 @@ def test_usage_error_exits_64(capsys):
         (("generate", "--construction", "all", "--n", "13"), "enumeration cap of n=12"),
         (("generate", "--construction", "double-sat", "--n", "13"), "enumeration cap of n=12"),
         (("verify", "--n", "3", "--mode", "exhaustive", "--budget", "-5"), "budget must be >= 0"),
+        (("verify", "--n", "3", "--mode", "sample", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("verify", "--n", "3", "--mode", "exhaustive", "--seed", "-1"), "seed must be >= 0"),
     ],
 )
 def test_bad_argument_values_exit_64(capsys, argv, message):

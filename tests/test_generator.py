@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -95,6 +96,25 @@ def test_universe_build_leaves_the_collector_as_it_found_it(enabled):
             _universe.cache_clear()
             enumerate_clauses(n)
             assert gc.isenabled() is enabled
+
+
+def test_universe_shares_one_int_per_mask_value_in_bounded_memory():
+    # 59,048 clauses over 1,024 mask values, most of them above CPython's
+    # cached small ints: unshared masks cost about 91 B per clause retained
+    # and 132 B at peak, with some 65k mask objects.
+    n = 10
+    gc.collect()
+    tracemalloc.start()
+    try:
+        universe = _universe.__wrapped__(n)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(universe) == 3**n - 1
+    assert retained <= 64 * len(universe)
+    assert peak <= 80 * len(universe)
+    masks = {id(c.pos_mask) for c in universe} | {id(c.neg_mask) for c in universe}
+    assert len(masks) <= 1 << n
 
 
 def test_enumeration_cap():
@@ -237,6 +257,17 @@ def test_sample_rejects_oversize():
         sample_pcnf(2, 9, seed=0)
     with pytest.raises(ValueError, match="cannot draw -1 of the 8 clauses"):
         sample_pcnf(2, -1, seed=0)
+
+
+def test_negative_seeds_are_refused():
+    # random.Random(-s) seeds with s, so a negative seed would silently
+    # repeat the campaign of its absolute value.
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        sample_pcnf(4, 10, -3)
+    for mode in VerifyMode:
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            verify_bounds(2, mode, sample_count=10, seed=-1)
+    assert sample_pcnf(4, 10, 0).clauses
 
 
 def test_sample_deterministic_per_seed():

@@ -9,6 +9,7 @@ from pcnfrange import (
     Clause,
     EmptyClauseError,
     RawCnf,
+    enumerate_clauses,
     normalize,
     raw_model_bitmap,
 )
@@ -163,3 +164,50 @@ def messy_raw_cnfs(draw):
 @given(messy_raw_cnfs())
 def test_normalize_equals_the_set_based_reference(raw_cnf):
     assert normalize(raw_cnf) == naive_normalize(raw_cnf)
+
+
+def _mask_objects_and_values(f):
+    masks = [m for c in f.clauses for m in (c.pos_mask, c.neg_mask)]
+    return len({id(m) for m in masks}), len(set(masks))
+
+
+def _messy(rng, clauses):
+    """Each clause's literals shuffled, some repeated, some doubled."""
+    out = []
+    for c in clauses:
+        lits = list(c.literals())
+        for _ in range(rng.choice([1, 1, 2])):
+            messy = lits + rng.sample(lits, rng.randint(0, 2))
+            rng.shuffle(messy)
+            out.append(tuple(messy))
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("drop", [0, 1])
+def test_masks_are_shared_exactly_when_clauses_reach_the_mask_count(drop):
+    # The 2^9 full-width clauses over 9 variables use each mask value once
+    # as a positive and once as a negative mask, mostly above CPython's
+    # cached small ints.  All 512 take their masks from one pool of 2^9
+    # ints; 511 are fewer clauses than mask values and split fresh masks.
+    n = 9
+    rng = random.Random(drop)
+    full = [c for c in enumerate_clauses(n) if c.width == n][drop:]
+    r = RawCnf(n, tuple(_messy(rng, full)))
+    f, stats = normalize(r)
+    assert (f, stats) == naive_normalize(r)
+    objects, values = _mask_objects_and_values(f)
+    assert (objects == values) is (drop == 0)
+
+
+def test_wide_formulas_split_fresh_masks():
+    # At n = 1000 no formula reaches 2^n clauses, so no pool is built.
+    rng = random.Random(5)
+    top = 1 << 999 | 1 << 500
+    clauses = [Clause(top | 1 << i, 1 << (i + 1)) for i in range(40)]
+    clauses += [Clause(1 << (i + 1), top | 1 << i) for i in range(40)]
+    r = RawCnf(1000, tuple(_messy(rng, clauses)))
+    f, stats = normalize(r)
+    assert (f, stats) == naive_normalize(r)
+    objects, values = _mask_objects_and_values(f)
+    assert objects > values

@@ -18,7 +18,7 @@ from pathlib import Path
 from .bounds import bounds_for
 from .detectors import screen_all
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
-from .formula import PcnfFormula, RawCnf
+from .formula import PcnfFormula, RawCnf, collector_paused
 from .generate import (
     DEFAULT_BUDGET,
     DEFAULT_ENUMERATION_CAP,
@@ -123,6 +123,8 @@ def _parse_witness(spec: str, n: int) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.oracle_max_n < 0:
+        raise UsageError(f"oracle cap must be >= 0, got {args.oracle_max_n}")
     if args.oracle_max_n > DEFAULT_MAX_VARS:
         raise UsageError(
             f"oracle cap {args.oracle_max_n} exceeds the ceiling of "
@@ -346,7 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = _parser().parse_args(argv)
-            code = args.func(args)
+            # The commands build no cycles for a collector pass to free.
+            with collector_paused():
+                code = args.func(args)
         except SystemExit as exc:  # argparse's --help and usage errors
             code = exc.code if isinstance(exc.code, int) else EX_USAGE
         sys.stdout.flush()

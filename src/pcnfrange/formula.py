@@ -16,7 +16,6 @@ from outside; the direct constructors trust their arguments, which
 from __future__ import annotations
 
 import gc
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping
@@ -137,8 +136,7 @@ def clause_sort_key(clause: Clause) -> tuple[int, int, int]:
     return (clause.width, clause.pos_mask, clause.neg_mask)
 
 
-@contextmanager
-def collector_paused(promote: bool = False):
+class collector_paused:
     """Pause the cyclic garbage collector, then restore the caller's setting.
 
     For bulk builds of many tracked objects with no cycles among them: the
@@ -146,14 +144,20 @@ def collector_paused(promote: bool = False):
     collector makes up one young-generation pass over them at its next
     allocation, or, with ``promote``, before it is re-enabled, moving them
     to the oldest generation so that no later young pass rescans them.
+    A class, not a generator: a generator's exit allocates a StopIteration,
+    which would start that pass inside the ``with`` statement.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            if promote:
+
+    def __init__(self, promote: bool = False) -> None:
+        self.promote = promote
+
+    def __enter__(self) -> None:
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.was_enabled:
+            if self.promote:
                 gc.collect(1)
             gc.enable()
 
@@ -163,12 +167,12 @@ def canonical_clauses(
 ) -> tuple[Clause, ...]:
     """Clauses in canonical order from their ints ``pos << n | neg``.
 
-    ``keys_by_width`` maps each width to a list of its clauses' ints, with
-    no repeats.  Within one width the ints sort in (pos, neg) order, so
-    sorting each width's ints gives `clause_sort_key` order without
-    building a tuple per clause.  Each list is consumed: sorted in place,
-    built into clauses and emptied, so the ints of finished widths are
-    freed before the next width is built.
+    ``keys_by_width`` maps each width to a list of its clauses' ints,
+    sorted ascending, with no repeats.  Within one width the ints sort in
+    (pos, neg) order, so each sorted list is in `clause_sort_key` order
+    without a tuple per clause; the widths may come in any order.  Each
+    list is consumed: built into clauses and emptied, so the ints of
+    finished widths are freed before the next width is built.
 
     When there are at least as many ints as mask values (2^n of them, as
     in every clause universe), every mask is taken from one list of the
@@ -183,7 +187,6 @@ def canonical_clauses(
     with collector_paused():
         for w in sorted(keys_by_width):
             keys = keys_by_width[w]
-            keys.sort()
             if shared:
                 clauses += [Clause(masks[k >> n], masks[k & low]) for k in keys]
             else:

@@ -54,10 +54,10 @@ class VerifyMode(Enum):
 @lru_cache(maxsize=4)
 def _universe(n: int) -> tuple[Clause, ...]:
     # Every polarity split of every nonempty variable subset, keyed
-    # pos << n | neg per width.  `canonical_clauses` builds the up to 531k
-    # clauses width by width, emptying each width's keys as it goes, with
-    # the collector paused; the pass it defers runs here, not in the
-    # caller's next loop.  The 3^n - 1 clauses outnumber the 2^n mask
+    # pos << n | neg per width and sorted.  `canonical_clauses` builds the
+    # up to 531k clauses width by width, emptying each width's keys as it
+    # goes, with the collector paused; the pass it defers runs here, not in
+    # the caller's next loop.  The 3^n - 1 clauses outnumber the 2^n mask
     # values, so they share one int per mask value: about 56 B per clause.
     by_width: dict[int, list[int]] = {w: [] for w in range(1, n + 1)}
     for occ in range(1, 1 << n):
@@ -68,6 +68,8 @@ def _universe(n: int) -> tuple[Clause, ...]:
             if sub == 0:
                 break
             sub = (sub - 1) & occ
+    for keys in by_width.values():
+        keys.sort()
     with collector_paused(promote=True):
         return canonical_clauses(n, by_width)
 

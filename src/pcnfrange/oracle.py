@@ -4,10 +4,9 @@ There is one route from clauses to models.  `falsifier` builds the kernel:
 a clause is false exactly on one subcube of assignments, and the kernel
 writes that subcube as a 2^n-bit truth table (bit a set iff assignment a
 falsifies the clause).  `model_bitmap` strikes each clause's subcube out of
-the full table, `clause_bitmap` complements one, and `solve` counts the
-models with ``int.bit_count()``.  No sampling, no heuristics: this is the
-arbiter every verification suite trusts.  Bit-parallel truth tables in the
-style of Knuth, TAOCP 4A §7.1.3.
+the full table, and `solve` counts the models with ``int.bit_count()``.  No
+sampling, no heuristics: this is the arbiter every verification suite
+trusts.  Bit-parallel truth tables in the style of Knuth, TAOCP 4A §7.1.3.
 
 The kernel keeps one table per variable below `_TABLE_VARS`, each over the
 assignments to those low variables: 16 tables of 2^16 bits, 128 KB.  A
@@ -117,16 +116,6 @@ def falsifier(num_vars: int) -> Callable[[int, int], int]:
         return cube << (neg_mask & every)
 
     return falsified
-
-
-def clause_bitmap(pos_mask: int, neg_mask: int, num_vars: int) -> int:
-    """Bitmap over all 2^n assignments of the assignments satisfying a clause.
-
-    The complement of the clause's falsifying subcube; with both masks empty
-    (an empty clause) the result is 0.  For many clauses, call `falsifier`
-    once instead.
-    """
-    return ((1 << (1 << num_vars)) - 1) ^ falsifier(num_vars)(pos_mask, neg_mask)
 
 
 def model_bitmap(num_vars: int, clauses: Iterable[Clause]) -> int:

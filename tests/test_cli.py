@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from pcnfrange import cli
 from pcnfrange.cli import build_parser, main
 
-from tests.helpers import GOLDEN_CNF
+from tests.helpers import GOLDEN_CNF, collector_set
 
 
 def run(capsys, *argv):
@@ -236,6 +237,7 @@ def test_usage_error_exits_64(capsys):
         (("verify", "--n", "3", "--mode", "exhaustive", "--budget", "-5"), "budget must be >= 0"),
         (("verify", "--n", "3", "--mode", "sample", "--seed", "-1"), "seed must be >= 0, got -1"),
         (("verify", "--n", "3", "--mode", "exhaustive", "--seed", "-1"), "seed must be >= 0"),
+        (("analyze", str(GOLDEN_CNF), "--oracle-max-n", "-1"), "oracle cap must be >= 0, got -1"),
     ],
 )
 def test_bad_argument_values_exit_64(capsys, argv, message):
@@ -461,6 +463,49 @@ def test_analyze_satlib_trailer(capsys, tmp_path):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path, enabled):
+    bad = write(tmp_path, "bad.cnf", "p cnf 2 1\n1 x 0\n")
+    cases = [
+        (("analyze", str(GOLDEN_CNF)), 20),
+        (("analyze", bad), 65),
+        (("analyze", str(GOLDEN_CNF), "--oracle-max-n", "-1"), 64),
+        (("--help",), 0),
+    ]
+    with collector_set(enabled):
+        for argv, code in cases:
+            assert run(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+
+
+def test_analyze_starts_no_collector_pass(capsys, tmp_path):
+    # Seeded random 3-CNF, n=100 and 5,000 clauses: enough allocations for
+    # about a dozen passes if the collector ran during the command.
+    rng = random.Random(5_000)
+    lines = ["p cnf 100 5000"]
+    for _ in range(5_000):
+        variables = rng.sample(range(1, 101), 3)
+        lines.append(" ".join(str(v if rng.getrandbits(1) else -v) for v in variables) + " 0")
+    path = write(tmp_path, "random.cnf", "\n".join(lines) + "\n")
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    cli._parser()  # built, and its allocations made, before the count
+    with collector_set(True):
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            code = main(["analyze", path])
+        finally:
+            gc.callbacks.remove(record)
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "unknown"
+    assert starts == []
 
 
 def run_module(*argv, unbuffered=False, **kwargs):

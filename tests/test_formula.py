@@ -184,6 +184,8 @@ def test_canonical_clauses_sorts_mixed_widths_given_out_of_order():
     for c in clauses:
         keys_by_width.setdefault(c.width, []).append(c.pos_mask << 3 | c.neg_mask)
     assert list(keys_by_width) == [3, 1, 2]
+    for keys in keys_by_width.values():  # each width's list comes sorted
+        keys.sort()
     assert canonical_clauses(3, keys_by_width) == tuple(sorted(clauses, key=clause_sort_key))
     assert keys_by_width == {3: [], 1: [], 2: []}  # each width's list consumed
     assert canonical_clauses(3, {}) == ()

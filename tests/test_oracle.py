@@ -19,7 +19,7 @@ from pcnfrange import (
     solve,
 )
 from pcnfrange.formula import Clause, bit_indices, clause_satisfied
-from pcnfrange.oracle import _TABLE_VARS, MODEL_RETENTION_CAP, clause_bitmap
+from pcnfrange.oracle import _TABLE_VARS, MODEL_RETENTION_CAP, falsifier
 
 from tests.helpers import golden_formula, naive_model_set, pf
 
@@ -66,12 +66,19 @@ def test_models_retained_only_below_cap():
         assert (r.model_count, r.models) == (count, ())
 
 
+def full(n):
+    """The 2^n-bit table of every assignment: XOR with a clause's falsifying
+    subcube leaves the clause's satisfying assignments."""
+    return (1 << (1 << n)) - 1
+
+
 def test_clause_bitmap_small():
     # over assignments 0..3: v0 holds in {1, 3}, v1 in {2, 3}
-    assert clause_bitmap(0b01, 0, 2) == 0b1010
-    assert clause_bitmap(0b10, 0, 2) == 0b1100
-    assert clause_bitmap(0, 0b01, 2) == 0b0101
-    assert clause_bitmap(0, 0, 2) == 0  # an empty clause has no model
+    falsified = falsifier(2)
+    assert full(2) ^ falsified(0b01, 0) == 0b1010
+    assert full(2) ^ falsified(0b10, 0) == 0b1100
+    assert full(2) ^ falsified(0, 0b01) == 0b0101
+    assert full(2) ^ falsified(0, 0) == 0  # an empty clause has no model
 
 
 def test_clause_bitmap_matches_direct_evaluation():
@@ -81,7 +88,7 @@ def test_clause_bitmap_matches_direct_evaluation():
         occ = rng.randint(1, (1 << n) - 1)
         pos = rng.randint(0, (1 << n) - 1) & occ
         neg = occ ^ pos
-        bm = clause_bitmap(pos, neg, n)
+        bm = full(n) ^ falsifier(n)(pos, neg)
         for a in range(1 << n):
             expected = bool((a & pos) | (~a & neg))
             assert bool(bm >> a & 1) == expected
@@ -191,9 +198,10 @@ def truth_table(n, satisfied):
 @pytest.mark.parametrize("n", KERNEL_NS)
 def test_clause_bitmap_matches_per_assignment_evaluation(n):
     rng = random.Random(n)
+    falsified = falsifier(n)
     for c in kernel_clauses(rng, n):
         expected = truth_table(n, lambda a: clause_satisfied(c, a))
-        assert clause_bitmap(c.pos_mask, c.neg_mask, n) == expected
+        assert full(n) ^ falsified(c.pos_mask, c.neg_mask) == expected
 
 
 @pytest.mark.parametrize("n", KERNEL_NS)
@@ -221,7 +229,7 @@ def test_variables_past_num_vars_are_ignored():
     # As with the per-variable loop the kernel replaced: such a literal
     # leaves an empty clause, and never shifts a table by 2^26 bits.
     assert raw_model_bitmap(3, [(-27,)]) == raw_model_bitmap(3, [()]) == 0
-    assert clause_bitmap(1 << 30, 1 << 26, 3) == 0
+    assert full(3) ^ falsifier(3)(1 << 30, 1 << 26) == 0
 
 
 # Seeded random 3-CNF at the ratio 4.25 over the oracle's ceiling of 24

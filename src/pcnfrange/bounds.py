@@ -56,9 +56,6 @@ class RangeClass(Enum):
     NATURAL_RANGE = "natural_range"  # g < M <= f: at most one model
     BELOW_RANGE = "below_range"  # M <= g: count alone says nothing
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class Construction(Enum):
     """Clause families whose per-width distributions are known exactly."""

@@ -16,7 +16,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bounds import bounds_for
-from .detectors import screen_all
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .formula import PcnfFormula, RawCnf, collector_paused
 from .generate import (
@@ -31,8 +30,9 @@ from .generate import (
 from .normalize import EmptyClauseError, normalize
 from .oracle import DEFAULT_MAX_VARS, solve
 from .report import (
+    DEFAULT_ANALYZE_ORACLE_CAP,
+    analyze,
     bounds_text,
-    build_report,
     oracle_to_dict,
     report_text,
     report_to_dict,
@@ -48,8 +48,6 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_VERIFYFAIL = 70
 EX_IOERR = 74
-
-DEFAULT_ANALYZE_ORACLE_CAP = 20
 
 
 class UsageError(Exception):
@@ -144,17 +142,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         sys.stdout.write(to_json(doc))
         return EX_UNSAT
     del raw  # the raw clauses are not needed past normalize
-
-    effective_n = None
-    if args.recount_vars:
-        occurring = len(formula.occurring_variables())
-        if occurring > 0:
-            effective_n = occurring
-    screen = screen_all(formula, n=effective_n, early_exit=args.early_exit)
-    oracle_result = None
-    if formula.num_vars <= args.oracle_max_n:
-        oracle_result = solve(formula, max_n=args.oracle_max_n)
-    report = build_report(screen, oracle_result)
+    report = analyze(
+        formula,
+        oracle_max_n=args.oracle_max_n,
+        recount_vars=args.recount_vars,
+        early_exit=args.early_exit,
+    )
     sys.stdout.write(to_json(report_to_dict(report)))
     if args.text:
         print(report_text(report))

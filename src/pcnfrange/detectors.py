@@ -31,9 +31,6 @@ class Verdict(Enum):
     UNSATISFIABLE = "unsatisfiable"
     UNKNOWN = "unknown"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True, slots=True)
 class Reason:
@@ -110,11 +107,10 @@ def _keyed_by_indices(counts: dict) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class ScreenResult:
-    """Everything the screening pipeline learned about one formula.  ``n`` is
-    the universe the bounds classify against; ``num_vars`` is the declared
-    one, which names the variables."""
+    """Everything the screening pipeline learned about one formula.
+    ``bounds.n`` is the universe the bounds classify against; ``num_vars`` is
+    the declared one, which names the variables."""
 
-    n: int
     num_vars: int
     num_clauses: int
     bounds: BoundsTable
@@ -293,7 +289,6 @@ def screen_all(
 
     verdict = Verdict.UNSATISFIABLE if reasons else Verdict.UNKNOWN
     return ScreenResult(
-        n=effective_n,
         num_vars=formula.num_vars,
         num_clauses=num_clauses,
         bounds=table,

@@ -47,9 +47,6 @@ class VerifyMode(Enum):
     EXHAUSTIVE = "exhaustive"
     SAMPLE = "sample"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @lru_cache(maxsize=4)
 def _universe(n: int) -> tuple[Clause, ...]:

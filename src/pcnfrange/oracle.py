@@ -40,9 +40,6 @@ class OracleVerdict(Enum):
     UNIQUE = "unique"
     MULTIPLE = "multiple"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True, slots=True)
 class OracleResult:

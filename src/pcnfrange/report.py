@@ -11,14 +11,18 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from enum import Enum
 from typing import TYPE_CHECKING
 
 from .bounds import BoundsTable, Construction, clause_distribution
-from .detectors import Reason, ScreenResult, Verdict
-from .oracle import OracleResult
+from .detectors import Reason, ScreenResult, Verdict, screen_all
+from .oracle import OracleResult, solve
 
 if TYPE_CHECKING:
+    from .formula import PcnfFormula
     from .generate import VerificationReport
+
+DEFAULT_ANALYZE_ORACLE_CAP = 20
 
 
 def var_name(index: int, n: int) -> str:
@@ -58,23 +62,35 @@ def render_reason(reason: Reason, n: int) -> str:
     raise ValueError(f"unknown rule {reason.rule!r}")
 
 
+class AnalysisVerdict(Enum):
+    """A report's verdict: ``value`` is its printed form, ``exit_code`` its
+    SAT-convention exit code (20 proven unsat, 10 proven sat, 0 unknown)."""
+
+    UNSATISFIABLE = "unsatisfiable", 20
+    UNSATISFIABLE_ORACLE = "unsatisfiable (oracle)", 20
+    SATISFIABLE_TRIVIALLY = "satisfiable (trivially)", 10
+    SATISFIABLE_ORACLE = "satisfiable (oracle)", 10
+    UNKNOWN = "unknown", 0
+
+    def __new__(cls, text: str, exit_code: int) -> AnalysisVerdict:
+        member = object.__new__(cls)
+        member._value_, member.exit_code = text, exit_code
+        return member
+
+
 @dataclass(frozen=True, slots=True)
 class AnalysisReport:
     """The complete analysis record for one formula."""
 
     screen: ScreenResult
     oracle: OracleResult | None
-    verdict: str
+    verdict: AnalysisVerdict
     reasons: tuple[str, ...]
 
     @property
     def exit_code(self) -> int:
-        """SAT-convention exit code: 20 proven unsat, 10 proven sat, 0 unknown."""
-        if self.verdict.startswith("unsatisfiable"):
-            return 20
-        if self.verdict.startswith("satisfiable"):
-            return 10
-        return 0
+        """The verdict's SAT-convention exit code."""
+        return self.verdict.exit_code
 
 
 def build_report(
@@ -88,23 +104,41 @@ def build_report(
     """
     reasons = [render_reason(r, screen.num_vars) for r in screen.reasons]
     if screen.verdict is Verdict.UNSATISFIABLE:
-        verdict = "unsatisfiable"
+        verdict = AnalysisVerdict.UNSATISFIABLE
         if oracle is not None and oracle.model_count == 0:
             reasons.append("oracle model_count=0")
     elif oracle is not None and oracle.model_count == 0:
-        verdict = "unsatisfiable (oracle)"
+        verdict = AnalysisVerdict.UNSATISFIABLE_ORACLE
         reasons.append("oracle model_count=0")
     elif screen.num_clauses == 0:
-        verdict = "satisfiable (trivially)"
+        verdict = AnalysisVerdict.SATISFIABLE_TRIVIALLY
         reasons.append("no clauses")
     elif oracle is not None:
-        verdict = "satisfiable (oracle)"
+        verdict = AnalysisVerdict.SATISFIABLE_ORACLE
         reasons.append(f"oracle model_count={oracle.model_count}")
     else:
-        verdict = "unknown"
+        verdict = AnalysisVerdict.UNKNOWN
     return AnalysisReport(
         screen=screen, oracle=oracle, verdict=verdict, reasons=tuple(reasons)
     )
+
+
+def analyze(
+    formula: PcnfFormula,
+    *,
+    oracle_max_n: int = DEFAULT_ANALYZE_ORACLE_CAP,
+    recount_vars: bool = False,
+    early_exit: bool = False,
+) -> AnalysisReport:
+    """The paper's procedure on one normalized formula: the clause count
+    against f(n) and g(n), the counting rules, then the oracle when the
+    declared universe has at most ``oracle_max_n`` variables.  With
+    ``recount_vars`` the bounds count only the variables that occur, if any
+    do.  This is where the CLI's oracle-cap and recount rules live."""
+    occurring = len(formula.occurring_variables()) if recount_vars else 0
+    screen = screen_all(formula, n=occurring or None, early_exit=early_exit)
+    oracle = solve(formula, max_n=oracle_max_n) if formula.num_vars <= oracle_max_n else None
+    return build_report(screen, oracle)
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -117,7 +151,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         oracle_doc["model_count"] = report.oracle.model_count
     b = screen.bounds
     return {
-        "n": screen.n,
+        "n": b.n,
         "num_clauses": screen.num_clauses,
         "bounds": {"m": b.m, "f": b.f, "g": b.g, "v": b.v, "p": b.p, "q": b.q},
         "range_class": screen.range_class.value,
@@ -133,7 +167,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             },
         },
         "oracle": oracle_doc,
-        "verdict": report.verdict,
+        "verdict": report.verdict.value,
         "reasons": list(report.reasons),
     }
 
@@ -256,7 +290,7 @@ def bounds_text(table: BoundsTable) -> str:
 def report_text(report: AnalysisReport) -> str:
     screen = report.screen
     lines = [
-        f"variables      {screen.n}",
+        f"variables      {screen.bounds.n}",
         f"clauses        {screen.num_clauses}",
         f"range          {screen.range_class.value} "
         f"(g={screen.bounds.g}, f={screen.bounds.f}, m={screen.bounds.m})",
@@ -264,7 +298,7 @@ def report_text(report: AnalysisReport) -> str:
         f"clause classes {screen.clause_class.outcome.value}",
         "oracle         "
         + ("not run" if report.oracle is None else f"model_count={report.oracle.model_count}"),
-        f"verdict        {report.verdict}",
+        f"verdict        {report.verdict.value}",
     ]
     for reason in report.reasons:
         lines.append(f"  reason: {reason}")

@@ -1,12 +1,14 @@
 """The public API is `pcnfrange.__all__` and the command line's options;
 changing either must be deliberate."""
 import argparse
+import inspect
 
 import pcnfrange
 from pcnfrange.cli import build_parser
 
 PUBLIC_API = [
     "AnalysisReport",
+    "AnalysisVerdict",
     "Assignment",
     "BoundsTable",
     "BudgetExceededError",
@@ -38,6 +40,7 @@ PUBLIC_API = [
     "VerificationReport",
     "VerifyMode",
     "all_true",
+    "analyze",
     "bounds_for",
     "build_report",
     "classify_count",
@@ -101,3 +104,17 @@ def test_cli_surface_is_pinned():
         for name, p in sub.choices.items()
     }
     assert surface == CLI_SURFACE
+
+
+def test_analyze_signature_and_verdicts_are_pinned():
+    assert str(inspect.signature(pcnfrange.analyze)) == (
+        "(formula: 'PcnfFormula', *, oracle_max_n: 'int' = 20, recount_vars: 'bool' = False, "
+        "early_exit: 'bool' = False) -> 'AnalysisReport'"
+    )
+    assert [(v.name, v.value, v.exit_code) for v in pcnfrange.AnalysisVerdict] == [
+        ("UNSATISFIABLE", "unsatisfiable", 20),
+        ("UNSATISFIABLE_ORACLE", "unsatisfiable (oracle)", 20),
+        ("SATISFIABLE_TRIVIALLY", "satisfiable (trivially)", 10),
+        ("SATISFIABLE_ORACLE", "satisfiable (oracle)", 10),
+        ("UNKNOWN", "unknown", 0),
+    ]

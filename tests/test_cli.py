@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pcnfrange import cli
+from pcnfrange import analyze, cli, normalize, parse_dimacs, report_to_dict, to_json
 from pcnfrange.cli import build_parser, main
 
 from tests.helpers import GOLDEN_CNF, collector_set
@@ -125,6 +125,29 @@ def test_analyze_padded_file_past_the_hash_width(capsys, tmp_path, flags, classe
     assert doc["detectors"]["clause_class"]["C"] == classes
     assert doc["detectors"]["clause_class"]["U"] == ceilings
     assert doc["reasons"] == ["clause_class key=5,700"]
+
+
+# Two of 30 declared variables occur, in 4 clauses: natural range for n' = 2.
+PADDED_30 = "p cnf 30 4\n1 2 0\n1 -2 0\n-1 2 0\n1 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, flags, kwargs",
+    [
+        (GOLDEN_CNF.read_text(), [], {}),
+        (GOLDEN_CNF.read_text(), ["--early-exit"], {"early_exit": True}),
+        (GOLDEN_CNF.read_text(), ["--oracle-max-n", "0"], {"oracle_max_n": 0}),
+        (PADDED_30, ["--recount-vars"], {"recount_vars": True}),
+    ],
+    ids=["golden", "golden-early-exit", "golden-no-oracle", "padded-recount"],
+)
+def test_library_analyze_matches_the_cli(capsys, tmp_path, text, flags, kwargs):
+    path = write(tmp_path, "in.cnf", text)
+    code, out, _ = run(capsys, "analyze", path, *flags)
+    formula, _stats = normalize(parse_dimacs(Path(path).read_bytes()))
+    report = analyze(formula, **kwargs)
+    assert to_json(report_to_dict(report)) == out
+    assert report.exit_code == code
 
 
 def test_analyze_accepts_byte_order_mark(capsys, tmp_path):

@@ -417,6 +417,7 @@ def test_tightness_matches_the_oracle_on_both_constructions(n):
 @pytest.mark.parametrize(
     "mode, kwargs",
     [(VerifyMode.EXHAUSTIVE, {}), (VerifyMode.SAMPLE, {"sample_count": 300, "seed": 4})],
+    ids=lambda value: value.value if isinstance(value, VerifyMode) else None,
 )
 def test_verify_reports_reproducible_counterexamples(monkeypatch, mode, kwargs):
     # f and g lowered by two, so both strata hold formulas that break the

@@ -7,13 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pcnfrange import (
+    AnalysisVerdict,
     BoundsTable,
     PcnfFormula,
     VerifyMode,
+    analyze,
     build_report,
     report_to_dict,
     screen_all,
-    solve,
     to_json,
     verify_bounds,
 )
@@ -42,8 +43,7 @@ SCHEMA_KEYS = {
 
 
 def test_golden_formula_report_with_oracle():
-    f = golden_formula()
-    report = build_report(screen_all(f), solve(f))
+    report = analyze(golden_formula())
     doc = report_to_dict(report)
     assert set(doc) == SCHEMA_KEYS
     assert doc["verdict"] == "unsatisfiable (oracle)"
@@ -60,8 +60,7 @@ def test_golden_formula_report_with_oracle():
 
 
 def test_complementary_units_report():
-    f = pf(1, "a, ~a")
-    report = build_report(screen_all(f))
+    report = analyze(pf(1, "a, ~a"), oracle_max_n=0)
     doc = report_to_dict(report)
     assert doc["verdict"] == "unsatisfiable"
     assert "clause_class key=a" in doc["reasons"]
@@ -70,8 +69,7 @@ def test_complementary_units_report():
 
 
 def test_empty_formula_report():
-    f = PcnfFormula.from_clauses(3, [])
-    report = build_report(screen_all(f))
+    report = analyze(PcnfFormula.from_clauses(3, []))
     doc = report_to_dict(report)
     assert doc["verdict"] == "satisfiable (trivially)"
     assert doc["detectors"]["corollary"] == "unknown"
@@ -80,23 +78,65 @@ def test_empty_formula_report():
 
 
 def test_satisfiable_with_oracle():
-    f = pf(1, "a")
-    report = build_report(screen_all(f), solve(f))
-    assert report.verdict == "satisfiable (oracle)"
+    report = analyze(pf(1, "a"))
+    assert report.verdict is AnalysisVerdict.SATISFIABLE_ORACLE
     assert report.exit_code == 10
 
 
 def test_unknown_without_oracle():
-    report = build_report(screen_all(golden_formula()))
-    assert report.verdict == "unknown"
+    report = analyze(golden_formula(), oracle_max_n=0)
+    assert report.verdict is AnalysisVerdict.UNKNOWN
+    assert report.oracle is None
     assert report.exit_code == 0
+
+
+# One formula per verdict, with the printed string and exit code it must give.
+VERDICT_CASES = [
+    (AnalysisVerdict.UNSATISFIABLE, pf(1, "a, ~a"), {}, "unsatisfiable", 20),
+    (AnalysisVerdict.UNSATISFIABLE_ORACLE, golden_formula(), {}, "unsatisfiable (oracle)", 20),
+    (AnalysisVerdict.SATISFIABLE_TRIVIALLY, PcnfFormula(3, ()), {}, "satisfiable (trivially)", 10),
+    (AnalysisVerdict.SATISFIABLE_ORACLE, pf(1, "a"), {}, "satisfiable (oracle)", 10),
+    (AnalysisVerdict.UNKNOWN, golden_formula(), {"oracle_max_n": 0}, "unknown", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "verdict, formula, kwargs, text, code",
+    VERDICT_CASES,
+    ids=[case[0].name for case in VERDICT_CASES],
+)
+def test_each_verdict_prints_its_string_and_exits_with_its_code(
+    verdict, formula, kwargs, text, code
+):
+    report = analyze(formula, **kwargs)
+    assert report.verdict is verdict
+    assert verdict.value == text
+    assert report_to_dict(report)["verdict"] == text
+    assert f"verdict        {text}" in report_text(report).splitlines()
+    assert verdict.exit_code == report.exit_code == code
+    assert AnalysisVerdict(text) is verdict
+
+
+def test_verdict_cases_cover_every_member():
+    assert [case[0] for case in VERDICT_CASES] == list(AnalysisVerdict)
+
+
+def test_recount_vars_classifies_against_the_occurring_variables():
+    # two of 30 declared variables occur; 4 clauses is f(2) - 1: natural range
+    f = pf(30, "a b, a ~b, ~a b, a")
+    plain, recounted = analyze(f), analyze(f, recount_vars=True)
+    assert (plain.screen.bounds.n, plain.screen.range_class.value) == (30, "below_range")
+    assert (recounted.screen.bounds.n, recounted.screen.range_class.value) == (2, "natural_range")
+    assert recounted.screen.num_vars == 30
+    assert plain.oracle is recounted.oracle is None  # 30 variables: past the default cap
+    # no clause, no occurring variable: the declared universe stays
+    assert analyze(PcnfFormula(3, ()), recount_vars=True).screen.bounds.n == 3
 
 
 def test_json_is_byte_stable_and_sorted():
     f = golden_formula()
-    doc = report_to_dict(build_report(screen_all(f), solve(f)))
-    a = to_json(doc)
-    b = to_json(report_to_dict(build_report(screen_all(f), solve(f))))
+    a = to_json(report_to_dict(analyze(f)))
+    b = to_json(report_to_dict(analyze(f)))
     assert a == b
     parsed = json.loads(a)
     assert list(parsed) == sorted(parsed)
@@ -104,7 +144,7 @@ def test_json_is_byte_stable_and_sorted():
 
 
 def test_integers_stay_exact():
-    doc = report_to_dict(build_report(screen_all(pf(2, "a, b"))))
+    doc = report_to_dict(analyze(pf(2, "a, b")))
     assert all(isinstance(v, int) for v in doc["bounds"].values())
     assert isinstance(doc["num_clauses"], int)
 
@@ -132,8 +172,7 @@ def test_render_reasons():
 def test_text_renderings_mention_key_facts():
     table_text = bounds_text(screen_all(golden_formula()).bounds)
     assert "26" in table_text and "19" in table_text and "15" in table_text
-    f = golden_formula()
-    text = report_text(build_report(screen_all(f), solve(f)))
+    text = report_text(analyze(golden_formula()))
     assert "natural_range" in text
     assert "model_count=0" in text
     vtext = verification_text(verify_bounds(2, VerifyMode.EXHAUSTIVE))
@@ -177,7 +216,7 @@ def test_text_renderers_print_ints_past_the_interpreter_digit_limit():
     assert rows["n"] == "9100"
     assert len(rows["m"]) == 4342  # floor(9100 log10 3) + 1
     assert int(rows["m"][-18:]) == table.m % 10**18
-    screen = replace(screen_all(PcnfFormula(1, ())), n=9100, bounds=table)
+    screen = replace(screen_all(PcnfFormula(1, ())), bounds=table)
     text = report_text(build_report(screen))
     assert f"(g={rows['g']}, f={rows['f']}, m={rows['m']})" in text
     with pytest.raises(ValueError):

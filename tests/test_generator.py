@@ -29,6 +29,7 @@ from pcnfrange.generate import (
     EnumerationCapError,
     _Bitmaps,
     _draws,
+    _resident,
     _tightness,
     _universe,
     _walk,
@@ -76,11 +77,16 @@ def test_universe_size_and_histogram_match_distribution(n):
 
 
 def test_universe_is_canonically_ordered_and_duplicate_free():
-    for n in range(1, 8):
+    # Every n up to the cap: with the size and histogram test, this pins the
+    # whole universe where the naive enumeration (n <= 6) cannot reach.
+    for n in range(1, 13):
         universe = enumerate_clauses(n)
         keys = [(c.width, c.pos_mask, c.neg_mask) for c in universe]
         assert keys == sorted(keys)
         assert len(set(universe)) == len(universe)
+        # A valid PCNF clause over n variables: disjoint, nonzero masks below 2^n.
+        top = 1 << n
+        assert [(p, q) for _, p, q in keys if p & q or not 0 < p | q < top] == []
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -93,7 +99,7 @@ def test_universe_build_leaves_the_collector_as_it_found_it(enabled):
     # The build pauses the cyclic collector; a caller's setting survives it.
     with collector_set(enabled):
         for n in range(1, 7):
-            _universe.cache_clear()
+            _resident.clear()
             enumerate_clauses(n)
             assert gc.isenabled() is enabled
 
@@ -106,7 +112,7 @@ def test_universe_shares_one_int_per_mask_value_in_bounded_memory():
     gc.collect()
     tracemalloc.start()
     try:
-        universe = _universe.__wrapped__(n)
+        universe = _universe(n)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -115,6 +121,26 @@ def test_universe_shares_one_int_per_mask_value_in_bounded_memory():
     assert peak <= 80 * len(universe)
     masks = {id(c.pos_mask) for c in universe} | {id(c.neg_mask) for c in universe}
     assert len(masks) <= 1 << n
+
+
+def test_one_universe_is_resident_at_a_time():
+    # A call with another n drops the resident universe before building its
+    # own: held beside the n = 12 one, the n = 11 universe would add about
+    # 19 B per n = 12 clause, retained and at peak.
+    _resident.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        enumerate_clauses(11)
+        tracemalloc.reset_peak()
+        universe = enumerate_clauses(12)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(universe) == 3**12 - 1
+    assert retained <= 64 * len(universe)
+    assert peak <= 80 * len(universe)
+    assert enumerate_clauses(12) is universe
 
 
 def test_enumeration_cap():

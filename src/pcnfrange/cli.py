@@ -33,6 +33,7 @@ from .report import (
     DEFAULT_ANALYZE_ORACLE_CAP,
     analyze,
     bounds_text,
+    check_oracle_cap,
     oracle_to_dict,
     report_text,
     report_to_dict,
@@ -121,13 +122,10 @@ def _parse_witness(spec: str, n: int) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.oracle_max_n < 0:
-        raise UsageError(f"oracle cap must be >= 0, got {args.oracle_max_n}")
-    if args.oracle_max_n > DEFAULT_MAX_VARS:
-        raise UsageError(
-            f"oracle cap {args.oracle_max_n} exceeds the ceiling of "
-            f"{DEFAULT_MAX_VARS} variables"
-        )
+    try:
+        check_oracle_cap(args.oracle_max_n)
+    except ValueError as exc:  # a usage error here, not malformed input
+        raise UsageError(exc) from None
     raw = _read_cnf(args.file)
     try:
         formula, _stats = normalize(raw)

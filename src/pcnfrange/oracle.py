@@ -8,12 +8,11 @@ the full table, and `solve` counts the models with ``int.bit_count()``.  No
 sampling, no heuristics: this is the arbiter every verification suite
 trusts.  Bit-parallel truth tables in the style of Knuth, TAOCP 4A §7.1.3.
 
-The kernel keeps one table per variable below `_TABLE_VARS`, each over the
-assignments to those low variables: 16 tables of 2^16 bits, 128 KB.  A
-clause's subcube over them is the AND of its variables' tables, and each
-higher variable that is absent doubles it.  A truth table costs 2^n bits,
-so `DEFAULT_MAX_VARS` is a hard ceiling on the variable count the oracle
-accepts.
+The kernel keeps one table per variable over all 2^n assignments, and a
+clause's subcube is the AND of its variables' tables.  Above `_TABLE_VARS`
+variables `model_bitmap` splits on the top variable (a Shannon expansion),
+so the kernel never holds more than 128 KB of tables.  A truth table costs
+2^n bits, so `DEFAULT_MAX_VARS` is a hard ceiling on the oracle's variables.
 """
 from __future__ import annotations
 
@@ -26,8 +25,8 @@ from .formula import Assignment, Clause, PcnfFormula, bit_indices, literal_masks
 #: Ceiling on the oracle's variable count: a truth table of 2^24 bits is 2 MiB.
 DEFAULT_MAX_VARS = 24
 MODEL_RETENTION_CAP = 4
-#: Variables that get a truth table of their own in `falsifier`: chosen by
-#: measurement (n = 15..17 ran 8% faster than with 14), at 128 KB of tables.
+#: The most variables `model_bitmap` hands to `falsifier`; above it, it
+#: splits.  Measured at n = 17..22: 14 ran 12-32% slower, 17 up to 10%.
 _TABLE_VARS = 16
 
 
@@ -68,9 +67,7 @@ def solve(formula: PcnfFormula, max_n: int = DEFAULT_MAX_VARS) -> OracleResult:
     n = formula.num_vars
     cap = min(max_n, DEFAULT_MAX_VARS)
     if n > cap:
-        raise TooManyVariablesError(
-            f"{n} variables exceeds the enumeration cap of {cap}"
-        )
+        raise TooManyVariablesError(f"{n} variables exceeds the enumeration cap of {cap}")
     bitmap = model_bitmap(n, formula.clauses)
     count = bitmap.bit_count()
     models = bit_indices(bitmap) if count <= MODEL_RETENTION_CAP else ()
@@ -84,30 +81,21 @@ def falsifier(num_vars: int) -> Callable[[int, int], int]:
     assignments falsifying the clause, those that set every positive
     variable False and every negated one True.  With both masks empty (an
     empty clause) that is every assignment.  Build it once per batch of
-    clauses: it makes the per-variable tables.
+    clauses: it makes one 2^n-bit table per variable.
     """
-    k = min(num_vars, _TABLE_VARS)
-    # zeros[v]: the assignments to variables 0..k-1 with variable v False.
-    zeros = [0] * k
-    if k:
-        z = zeros[k - 1] = (1 << (1 << (k - 1))) - 1
-        for v in range(k - 2, -1, -1):
+    # zeros[v]: the assignments with variable v False.
+    zeros = [0] * num_vars
+    if num_vars:
+        z = zeros[-1] = (1 << (1 << (num_vars - 1))) - 1
+        for v in range(num_vars - 2, -1, -1):
             z = zeros[v] = z ^ z << (1 << v)
-    low = (1 << k) - 1
-    block = (1 << (1 << k)) - 1
     every = (1 << num_vars) - 1
-    high = every ^ low
+    block = (1 << (1 << num_vars)) - 1
 
     def falsified(pos_mask: int, neg_mask: int) -> int:
-        occupied = pos_mask | neg_mask
         cube = block
-        for v in bit_indices(occupied & low):
+        for v in bit_indices((pos_mask | neg_mask) & every):
             cube &= zeros[v]
-        absent = high & ~occupied
-        while absent:  # an absent variable v copies the cube 2^v bits up
-            step = absent & -absent
-            cube |= cube << step
-            absent ^= step
         # Negated variables move the cube to where they are True.  Bits past
         # num_vars are ignored, so a stray one cannot widen the table.
         return cube << (neg_mask & every)
@@ -117,6 +105,17 @@ def falsifier(num_vars: int) -> Callable[[int, int], int]:
 
 def model_bitmap(num_vars: int, clauses: Iterable[Clause]) -> int:
     """Bitmap of all satisfying assignments (bit a set iff a is a model)."""
+    if num_vars > _TABLE_VARS:
+        # Shannon expansion on the top variable, whose bit is ``top``: each
+        # half keeps the clauses its value leaves unsatisfied, less that literal.
+        top = 1 << (num_vars - 1)
+        lo, hi = [], []
+        for c in clauses:
+            if not c.neg_mask & top:
+                lo.append(Clause(c.pos_mask ^ top, c.neg_mask) if c.pos_mask & top else c)
+            if not c.pos_mask & top:
+                hi.append(Clause(c.pos_mask, c.neg_mask ^ top) if c.neg_mask & top else c)
+        return model_bitmap(num_vars - 1, lo) | model_bitmap(num_vars - 1, hi) << top
     falsified = falsifier(num_vars)
     acc = (1 << (1 << num_vars)) - 1
     for c in clauses:
@@ -133,13 +132,5 @@ def raw_model_bitmap(num_vars: int, clauses: Iterable[Sequence[int]]) -> int:
     satisfies them), and empty clauses (no assignment does), so it can sit on
     either side of the normalizer when checking model preservation.
     """
-    falsified = falsifier(num_vars)
-    acc = (1 << (1 << num_vars)) - 1
-    for clause in clauses:
-        pos, neg = literal_masks(clause)
-        if pos & neg:
-            continue
-        acc ^= acc & falsified(pos, neg)
-        if not acc:
-            break
-    return acc
+    masks = map(literal_masks, clauses)
+    return model_bitmap(num_vars, (Clause(*m) for m in masks if not m[0] & m[1]))

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .bounds import BoundsTable, Construction, clause_distribution
 from .detectors import Reason, ScreenResult, Verdict, screen_all
-from .oracle import OracleResult, solve
+from .oracle import DEFAULT_MAX_VARS, OracleResult, solve
 
 if TYPE_CHECKING:
     from .formula import PcnfFormula
@@ -123,6 +123,14 @@ def build_report(
     )
 
 
+def check_oracle_cap(cap: int) -> None:
+    """Raise ValueError unless ``cap`` lies in 0..`DEFAULT_MAX_VARS`."""
+    if cap < 0:
+        raise ValueError(f"oracle cap must be >= 0, got {cap}")
+    if cap > DEFAULT_MAX_VARS:
+        raise ValueError(f"oracle cap {cap} exceeds the ceiling of {DEFAULT_MAX_VARS} variables")
+
+
 def analyze(
     formula: PcnfFormula,
     *,
@@ -132,12 +140,13 @@ def analyze(
 ) -> AnalysisReport:
     """The paper's procedure on one normalized formula: the clause count
     against f(n) and g(n), the counting rules, then the oracle when the
-    declared universe has at most ``oracle_max_n`` variables.  With
-    ``recount_vars`` the bounds count only the variables that occur, if any
-    do.  This is where the CLI's oracle-cap and recount rules live."""
+    declared universe has at most ``oracle_max_n`` variables (0..24, checked
+    first).  With ``recount_vars`` the bounds count only the variables that
+    occur, if any do.  The CLI's oracle-cap and recount rules live here."""
+    check_oracle_cap(oracle_max_n)
     occurring = len(formula.occurring_variables()) if recount_vars else 0
     screen = screen_all(formula, n=occurring or None, early_exit=early_exit)
-    oracle = solve(formula, max_n=oracle_max_n) if formula.num_vars <= oracle_max_n else None
+    oracle = solve(formula) if formula.num_vars <= oracle_max_n else None
     return build_report(screen, oracle)
 
 

@@ -166,8 +166,8 @@ def test_solve_at_the_ceiling():
     assert solve(f).model_count == 1 << 22
 
 
-# The kernel tables the low _TABLE_VARS variables and doubles over the
-# rest, so these tests reach three variables past the tables; those cases
+# model_bitmap tables up to _TABLE_VARS variables and splits on the ones
+# above, so these tests reach three variables past the tables; those cases
 # take seconds each.
 KERNEL_NS = [
     pytest.param(n, marks=pytest.mark.slow) if n > _TABLE_VARS else n
@@ -197,11 +197,15 @@ def truth_table(n, satisfied):
 
 @pytest.mark.parametrize("n", KERNEL_NS)
 def test_clause_bitmap_matches_per_assignment_evaluation(n):
+    # Past the tables a clause's bitmap comes through model_bitmap's split.
     rng = random.Random(n)
-    falsified = falsifier(n)
+    falsified = falsifier(n) if n <= _TABLE_VARS else None
     for c in kernel_clauses(rng, n):
         expected = truth_table(n, lambda a: clause_satisfied(c, a))
-        assert full(n) ^ falsified(c.pos_mask, c.neg_mask) == expected
+        if falsified:
+            assert full(n) ^ falsified(c.pos_mask, c.neg_mask) == expected
+        else:
+            assert model_bitmap(n, [c]) == expected
 
 
 @pytest.mark.parametrize("n", KERNEL_NS)
@@ -225,11 +229,29 @@ def test_model_bitmaps_match_the_naive_evaluator_on_both_sides_of_the_tables(n):
     assert model_bitmap(n, [Clause(0, 0)]) == 0
 
 
+@pytest.mark.slow
+def test_a_clause_over_split_variables_only_empties_one_block():
+    # x17 or x18 at n = 18: both are above the tables, so the branch with
+    # both False is left with the empty clause, and its 2^16 block is 0.
+    bitmap = model_bitmap(18, [Clause.from_literals([17, 18])])
+    assert bitmap.bit_count() == 3 << 16
+    assert bitmap & full(16) == 0
+    models = {tuple(bool(a >> v & 1) for v in range(18)) for a in bit_indices(bitmap)}
+    assert models == naive_model_set(18, [(17, 18)])
+
+
 def test_variables_past_num_vars_are_ignored():
     # As with the per-variable loop the kernel replaced: such a literal
     # leaves an empty clause, and never shifts a table by 2^26 bits.
     assert raw_model_bitmap(3, [(-27,)]) == raw_model_bitmap(3, [()]) == 0
     assert full(3) ^ falsifier(3)(1 << 30, 1 << 26) == 0
+
+
+def test_variables_past_num_vars_are_ignored_across_the_split():
+    # At n = 20 such literals ride through model_bitmap's split on the
+    # variables above the tables and are dropped by the kernel.
+    assert raw_model_bitmap(20, [(-27,)]) == 0
+    assert raw_model_bitmap(20, [(5, -27)]) == raw_model_bitmap(20, [(5,)])
 
 
 # Seeded random 3-CNF at the ratio 4.25 over the oracle's ceiling of 24

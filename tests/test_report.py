@@ -90,6 +90,22 @@ def test_unknown_without_oracle():
     assert report.exit_code == 0
 
 
+@pytest.mark.parametrize(
+    "cap, message",
+    [
+        (30, "oracle cap 30 exceeds the ceiling of 24 variables"),
+        (-1, "oracle cap must be >= 0, got -1"),
+    ],
+)
+def test_analyze_refuses_an_oracle_cap_outside_the_ceiling(monkeypatch, cap, message):
+    # With the CLI's words, and before any work: a cap of 30 would otherwise
+    # let a 25-variable formula reach the oracle and its own refusal.
+    monkeypatch.setattr("pcnfrange.report.screen_all", None)
+    with pytest.raises(ValueError) as refusal:
+        analyze(pf(25, "a"), oracle_max_n=cap)
+    assert refusal.value.args == (message,)
+
+
 # One formula per verdict, with the printed string and exit code it must give.
 VERDICT_CASES = [
     (AnalysisVerdict.UNSATISFIABLE, pf(1, "a, ~a"), {}, "unsatisfiable", 20),

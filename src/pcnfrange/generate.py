@@ -28,7 +28,7 @@ from .formula import (
     clause_satisfied,
     collector_paused,
 )
-from .oracle import falsifier, model_bitmap, solve
+from .oracle import model_bitmap, solve
 
 DEFAULT_ENUMERATION_CAP = 12
 DEFAULT_BUDGET = 10_000_000
@@ -260,13 +260,10 @@ class _Bitmaps(dict):
     """Clause bitmaps by universe index, each built on first lookup."""
 
     def __init__(self, universe, n):
-        self.universe = universe
-        self.full = (1 << (1 << n)) - 1
-        self.falsified = falsifier(n)
+        self.universe, self.n = universe, n
 
     def __missing__(self, i):
-        c = self.universe[i]
-        bm = self[i] = self.full ^ self.falsified(c.pos_mask, c.neg_mask)
+        bm = self[i] = model_bitmap(self.n, (self.universe[i],))
         return bm
 
 
@@ -305,7 +302,7 @@ def _campaign(bitmaps, ranges, mode, sample_count, seed):
     # of its walk or of the sample.  Exhaustive mode builds every bitmap up
     # front; sampling builds them as it ANDs them.
     m = len(bitmaps.universe)
-    full = bitmaps.full
+    full = (1 << (1 << bitmaps.n)) - 1
     if mode is VerifyMode.EXHAUSTIVE:
         row = [bitmaps[i] for i in range(m)]
         for name, lo, hi in ranges:

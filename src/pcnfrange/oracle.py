@@ -1,33 +1,40 @@
 """Exhaustive ground truth: exact model counting over all 2^n assignments.
 
-There is one route from clauses to models.  `falsifier` builds the kernel:
-a clause is false exactly on one subcube of assignments, and the kernel
-writes that subcube as a 2^n-bit truth table (bit a set iff assignment a
-falsifies the clause).  `model_bitmap` strikes each clause's subcube out of
-the full table, and `solve` counts the models with ``int.bit_count()``.  No
-sampling, no heuristics: this is the arbiter every verification suite
-trusts.  Bit-parallel truth tables in the style of Knuth, TAOCP 4A §7.1.3.
+There is one route from clauses to models: `model_bitmap`.  A clause is
+false exactly on one subcube of assignments, written as a 2^n-bit truth
+table (bit a set iff assignment a falsifies the clause); `model_bitmap`
+strikes each clause's subcube out of the full table, and `solve` counts the
+models with ``int.bit_count()``.  No sampling, no heuristics: this is the
+arbiter every verification suite trusts.  Bit-parallel truth tables in the
+style of Knuth, TAOCP 4A §7.1.3.
 
-The kernel keeps one table per variable over all 2^n assignments, and a
-clause's subcube is the AND of its variables' tables.  Above `_TABLE_VARS`
-variables `model_bitmap` splits on the top variable (a Shannon expansion),
-so the kernel never holds more than 128 KB of tables.  A truth table costs
-2^n bits, so `DEFAULT_MAX_VARS` is a hard ceiling on the oracle's variables.
+A clause's subcube is the AND of its variables' tables, built once per
+process over `_TABLE_VARS` variables (128 KB).  Above that many variables
+`model_bitmap` splits on the top variable (a Shannon expansion).  A truth
+table costs 2^n bits, so `DEFAULT_MAX_VARS` is a hard ceiling on the
+oracle's variables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .formula import Assignment, Clause, PcnfFormula, bit_indices, literal_masks
 
 #: Ceiling on the oracle's variable count: a truth table of 2^24 bits is 2 MiB.
 DEFAULT_MAX_VARS = 24
 MODEL_RETENTION_CAP = 4
-#: The most variables `model_bitmap` hands to `falsifier`; above it, it
+#: The most variables `model_bitmap` strikes with its tables; above it, it
 #: splits.  Measured at n = 17..22: 14 ran 12-32% slower, 17 up to 10%.
 _TABLE_VARS = 16
+
+
+#: _ZEROS[v]: the assignments with variable v False, over 2^_TABLE_VARS of
+#: them.  Over n <= _TABLE_VARS variables, a table is the low 2^n bits.
+_ZEROS = ((1 << (1 << (_TABLE_VARS - 1))) - 1,)
+for _v in range(_TABLE_VARS - 2, -1, -1):
+    _ZEROS = (_ZEROS[0] ^ _ZEROS[0] << (1 << _v), *_ZEROS)
 
 
 class TooManyVariablesError(ValueError):
@@ -74,35 +81,6 @@ def solve(formula: PcnfFormula, max_n: int = DEFAULT_MAX_VARS) -> OracleResult:
     return OracleResult(model_count=count, models=models)
 
 
-def falsifier(num_vars: int) -> Callable[[int, int], int]:
-    """The truth-table kernel over ``num_vars`` variables.
-
-    Returns ``falsified(pos_mask, neg_mask)``: the 2^n-bit table of the
-    assignments falsifying the clause, those that set every positive
-    variable False and every negated one True.  With both masks empty (an
-    empty clause) that is every assignment.  Build it once per batch of
-    clauses: it makes one 2^n-bit table per variable.
-    """
-    # zeros[v]: the assignments with variable v False.
-    zeros = [0] * num_vars
-    if num_vars:
-        z = zeros[-1] = (1 << (1 << (num_vars - 1))) - 1
-        for v in range(num_vars - 2, -1, -1):
-            z = zeros[v] = z ^ z << (1 << v)
-    every = (1 << num_vars) - 1
-    block = (1 << (1 << num_vars)) - 1
-
-    def falsified(pos_mask: int, neg_mask: int) -> int:
-        cube = block
-        for v in bit_indices((pos_mask | neg_mask) & every):
-            cube &= zeros[v]
-        # Negated variables move the cube to where they are True.  Bits past
-        # num_vars are ignored, so a stray one cannot widen the table.
-        return cube << (neg_mask & every)
-
-    return falsified
-
-
 def model_bitmap(num_vars: int, clauses: Iterable[Clause]) -> int:
     """Bitmap of all satisfying assignments (bit a set iff a is a model)."""
     if num_vars > _TABLE_VARS:
@@ -116,10 +94,16 @@ def model_bitmap(num_vars: int, clauses: Iterable[Clause]) -> int:
             if not c.pos_mask & top:
                 hi.append(Clause(c.pos_mask, c.neg_mask ^ top) if c.neg_mask & top else c)
         return model_bitmap(num_vars - 1, lo) | model_bitmap(num_vars - 1, hi) << top
-    falsified = falsifier(num_vars)
-    acc = (1 << (1 << num_vars)) - 1
+    every = (1 << num_vars) - 1
+    block = acc = (1 << (1 << num_vars)) - 1
     for c in clauses:
-        acc ^= acc & falsified(c.pos_mask, c.neg_mask)
+        # The clause is false where its positive variables are False and its
+        # negated ones True: AND their tables, then shift onto the True side.
+        # Bits past num_vars are ignored, so a stray one cannot widen a table.
+        cube = block
+        for v in bit_indices((c.pos_mask | c.neg_mask) & every):
+            cube &= _ZEROS[v]
+        acc ^= acc & (cube << (c.neg_mask & every))
         if not acc:
             break
     return acc

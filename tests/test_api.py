@@ -1,7 +1,9 @@
 """The public API is `pcnfrange.__all__` and the command line's options;
 changing either must be deliberate."""
 import argparse
+import ast
 import inspect
+from pathlib import Path
 
 import pcnfrange
 from pcnfrange.cli import build_parser
@@ -118,3 +120,24 @@ def test_analyze_signature_and_verdicts_are_pinned():
         ("SATISFIABLE_ORACLE", "satisfiable (oracle)", 10),
         ("UNKNOWN", "unknown", 0),
     ]
+
+
+def test_every_module_uses_the_names_it_imports():
+    # The package's modules, less __init__.py, whose imports are its
+    # re-exports; `__future__` imports are directives, not names.
+    unused = []
+    for path in sorted(Path(pcnfrange.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

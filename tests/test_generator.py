@@ -34,7 +34,6 @@ from pcnfrange.generate import (
     _universe,
     _walk,
 )
-from pcnfrange.oracle import falsifier
 
 from tests.helpers import (
     cl,
@@ -372,19 +371,15 @@ def test_verify_sample_builds_clause_bitmaps_lazily(monkeypatch):
     # A sampled formula's AND usually reaches 0 within a few clauses, so a
     # campaign must not build a bitmap per universe clause: at n = 12 that
     # would be 531,440 bitmaps of 4,096 bits.  (_tightness builds its own
-    # through oracle.model_bitmap, which this does not count.)
+    # from whole formulas, which this does not count.)
     built = []
 
-    def counting_falsifier(n):
-        falsified = falsifier(n)
+    def counting_model_bitmap(n, clauses):
+        if isinstance(clauses, tuple) and len(clauses) == 1:
+            built.append(clauses[0])
+        return model_bitmap(n, clauses)
 
-        def counting(pos, neg):
-            built.append((pos, neg))
-            return falsified(pos, neg)
-
-        return counting
-
-    monkeypatch.setattr("pcnfrange.generate.falsifier", counting_falsifier)
+    monkeypatch.setattr("pcnfrange.generate.model_bitmap", counting_model_bitmap)
     report = verify_bounds(8, VerifyMode.SAMPLE, sample_count=200, seed=1)
     assert report.ok
     assert 0 < len(built) < len(enumerate_clauses(8)) // 100

@@ -19,7 +19,7 @@ from pcnfrange import (
     solve,
 )
 from pcnfrange.formula import Clause, bit_indices, clause_satisfied
-from pcnfrange.oracle import _TABLE_VARS, MODEL_RETENTION_CAP, falsifier
+from pcnfrange.oracle import _TABLE_VARS, _ZEROS, MODEL_RETENTION_CAP
 
 from tests.helpers import golden_formula, naive_model_set, pf
 
@@ -66,19 +66,21 @@ def test_models_retained_only_below_cap():
         assert (r.model_count, r.models) == (count, ())
 
 
-def full(n):
-    """The 2^n-bit table of every assignment: XOR with a clause's falsifying
-    subcube leaves the clause's satisfying assignments."""
-    return (1 << (1 << n)) - 1
+def test_variable_tables_match_their_closed_form():
+    # Variable v is False on a run of 2^v assignments in every 2^(v+1), so
+    # its table is (2^(2^v) - 1) * (2^(2^16) - 1) / (2^(2^(v+1)) - 1): the
+    # quotient below, derived apart from the recurrence that builds it.
+    assert len(_ZEROS) == _TABLE_VARS == 16
+    for v in range(_TABLE_VARS):
+        assert _ZEROS[v] == ((1 << (1 << 16)) - 1) // ((1 << (1 << v)) + 1)
 
 
 def test_clause_bitmap_small():
     # over assignments 0..3: v0 holds in {1, 3}, v1 in {2, 3}
-    falsified = falsifier(2)
-    assert full(2) ^ falsified(0b01, 0) == 0b1010
-    assert full(2) ^ falsified(0b10, 0) == 0b1100
-    assert full(2) ^ falsified(0, 0b01) == 0b0101
-    assert full(2) ^ falsified(0, 0) == 0  # an empty clause has no model
+    assert model_bitmap(2, [Clause(0b01, 0)]) == 0b1010
+    assert model_bitmap(2, [Clause(0b10, 0)]) == 0b1100
+    assert model_bitmap(2, [Clause(0, 0b01)]) == 0b0101
+    assert model_bitmap(2, [Clause(0, 0)]) == 0  # an empty clause has no model
 
 
 def test_clause_bitmap_matches_direct_evaluation():
@@ -88,7 +90,7 @@ def test_clause_bitmap_matches_direct_evaluation():
         occ = rng.randint(1, (1 << n) - 1)
         pos = rng.randint(0, (1 << n) - 1) & occ
         neg = occ ^ pos
-        bm = full(n) ^ falsifier(n)(pos, neg)
+        bm = model_bitmap(n, [Clause(pos, neg)])
         for a in range(1 << n):
             expected = bool((a & pos) | (~a & neg))
             assert bool(bm >> a & 1) == expected
@@ -199,13 +201,8 @@ def truth_table(n, satisfied):
 def test_clause_bitmap_matches_per_assignment_evaluation(n):
     # Past the tables a clause's bitmap comes through model_bitmap's split.
     rng = random.Random(n)
-    falsified = falsifier(n) if n <= _TABLE_VARS else None
     for c in kernel_clauses(rng, n):
-        expected = truth_table(n, lambda a: clause_satisfied(c, a))
-        if falsified:
-            assert full(n) ^ falsified(c.pos_mask, c.neg_mask) == expected
-        else:
-            assert model_bitmap(n, [c]) == expected
+        assert model_bitmap(n, [c]) == truth_table(n, lambda a: clause_satisfied(c, a))
 
 
 @pytest.mark.parametrize("n", KERNEL_NS)
@@ -235,16 +232,19 @@ def test_a_clause_over_split_variables_only_empties_one_block():
     # both False is left with the empty clause, and its 2^16 block is 0.
     bitmap = model_bitmap(18, [Clause.from_literals([17, 18])])
     assert bitmap.bit_count() == 3 << 16
-    assert bitmap & full(16) == 0
+    assert bitmap & ((1 << (1 << 16)) - 1) == 0
     models = {tuple(bool(a >> v & 1) for v in range(18)) for a in bit_indices(bitmap)}
     assert models == naive_model_set(18, [(17, 18)])
 
 
 def test_variables_past_num_vars_are_ignored():
     # As with the per-variable loop the kernel replaced: such a literal
-    # leaves an empty clause, and never shifts a table by 2^26 bits.
+    # leaves an empty clause, and never shifts a table by 2^26 bits.  Bits
+    # between n and _TABLE_VARS index real tables, and are dropped too.
     assert raw_model_bitmap(3, [(-27,)]) == raw_model_bitmap(3, [()]) == 0
-    assert full(3) ^ falsifier(3)(1 << 30, 1 << 26) == 0
+    assert model_bitmap(3, [Clause(1 << 30, 1 << 26)]) == 0
+    assert model_bitmap(3, [Clause(1 << 10, 0)]) == 0
+    assert model_bitmap(3, [Clause(1 | 1 << 10, 0)]) == model_bitmap(3, [Clause(1, 0)])
 
 
 def test_variables_past_num_vars_are_ignored_across_the_split():

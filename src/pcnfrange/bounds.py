@@ -106,8 +106,7 @@ def classify_count(n: int, num_clauses: int) -> tuple[RangeClass, BoundsTable]:
 def clause_distribution(n: int, construction: Construction) -> tuple[int, ...]:
     """Per-width clause counts for the given construction, widths 1..n.
 
-    ALL sums to m(n), MAX_SAT to f(n), DOUBLE_SAT to g(n).  DOUBLE_SAT is
-    undefined for n=1 (a one-variable formula never has two models).
+    ALL sums to m(n), MAX_SAT to f(n), DOUBLE_SAT to g(n).
     """
     if n < 1:
         raise ValueError(f"distribution requires n >= 1, got {n}")
@@ -116,8 +115,6 @@ def clause_distribution(n: int, construction: Construction) -> tuple[int, ...]:
     if construction is Construction.MAX_SAT:
         return tuple((2**k - 1) * comb(n, k) for k in range(1, n + 1))
     if construction is Construction.DOUBLE_SAT:
-        if n < 2:
-            raise ValueError("double-sat construction requires n >= 2")
         return tuple(
             (2**k - 1) * comb(n, k) - comb(n - 1, k - 1) for k in range(1, n + 1)
         )

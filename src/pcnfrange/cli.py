@@ -2,8 +2,8 @@
 
 Exit codes follow SAT-solver conventions so existing harnesses interoperate:
 20 for proven unsatisfiable, 10 for proven satisfiable, 0 for unknown, 64
-for usage errors, 65 for unreadable or malformed input, 70 for a failed
-verification campaign, 74 for output that cannot be written.
+for usage errors, 65 for unreadable, malformed or out-of-memory input, 70
+for a failed verification campaign, 74 for output that cannot be written.
 """
 from __future__ import annotations
 
@@ -91,9 +91,9 @@ def _read_cnf(path: str) -> RawCnf:
     return raw
 
 
-def _check_n(what: str, n: int, least: int) -> None:
-    if n < least:
-        raise UsageError(f"{what} requires n >= {least}, got {n}")
+def _check_n(what: str, n: int) -> None:
+    if n < 1:
+        raise UsageError(f"{what} requires n >= 1, got {n}")
     if n > DEFAULT_ENUMERATION_CAP:
         raise UsageError(
             f"n={n} is beyond the enumeration cap of n={DEFAULT_ENUMERATION_CAP}"
@@ -181,8 +181,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     n = args.n
-    least = 2 if args.construction == "double-sat" else 1
-    _check_n(f"construction {args.construction}", n, least)
+    _check_n(f"construction {args.construction}", n)
     witness = _parse_witness(args.witness, n) if args.witness else None
     if args.construction == "all":
         formula = PcnfFormula(n, enumerate_clauses(n))
@@ -210,7 +209,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_n("verify", args.n, 1)
+    _check_n("verify", args.n)
     if args.mode == "sample" and args.count < 0:
         raise UsageError(f"sample count must be >= 0, got {args.count}")
     if args.budget < 0:
@@ -359,6 +358,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         _drop_unwritable_stdout()
         return EX_IOERR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EX_DATAERR
 
 
 if __name__ == "__main__":

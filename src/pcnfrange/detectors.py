@@ -15,7 +15,7 @@ the natural range slip through every rule here.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .bounds import BoundsTable, RangeClass, bounds_for, classify_count
@@ -83,8 +83,11 @@ class ClauseClassTable:
     carry.  ``clauses_scanned`` instruments the single-scan property.
     """
 
-    occupancy_counts: dict[int | tuple[int, ...], int] = field(default_factory=dict)
-    clauses_scanned: int = 0
+    occupancy_counts: dict[int | tuple[int, ...], int]
+
+    @property
+    def clauses_scanned(self) -> int:
+        return sum(self.occupancy_counts.values())
 
     @property
     def counts(self) -> dict[tuple[int, ...], int]:
@@ -239,9 +242,7 @@ def clause_class_screen(
     by_indices = formula.num_vars > _MASK_KEY_VARS
     width = len if by_indices else int.bit_count
     counts: dict = {}
-    scanned = 0
     for clause in formula.clauses:
-        scanned += 1
         key = clause.pos_mask | clause.neg_mask
         if by_indices:
             key = bit_indices(key)
@@ -259,7 +260,7 @@ def clause_class_screen(
         for key, c in saturated
     )
     outcome = Verdict.UNSATISFIABLE if reasons else Verdict.UNKNOWN
-    return DetectorVerdict(outcome, reasons), ClauseClassTable(counts, scanned)
+    return DetectorVerdict(outcome, reasons), ClauseClassTable(counts)
 
 
 def screen_all(

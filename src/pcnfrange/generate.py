@@ -28,7 +28,7 @@ from .formula import (
     clause_satisfied,
     collector_paused,
 )
-from .oracle import model_bitmap, solve
+from .oracle import model_bitmap
 
 DEFAULT_ENUMERATION_CAP = 12
 DEFAULT_BUDGET = 10_000_000
@@ -109,10 +109,7 @@ def double_sat_construction(
     witness and by the witness with ``flip_var`` flipped.
 
     Exactly g(n) clauses; precisely those two assignments are models.
-    Undefined for n=1, where a formula never has two models.
     """
-    if n < 2:
-        raise ValueError("double-sat construction requires n >= 2")
     if not 0 <= flip_var < n:
         raise ValueError(f"flip_var {flip_var} out of range for n={n}")
     w = all_true(n) if witness is None else witness
@@ -191,8 +188,8 @@ class TightnessReport:
 
     max_sat_clause_count: int
     max_sat_model_count: int
-    double_sat_clause_count: int | None  # None when n=1
-    double_sat_model_count: int | None
+    double_sat_clause_count: int
+    double_sat_model_count: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,19 +209,13 @@ class VerificationReport:
         b = self.bounds
         if t.max_sat_clause_count != b.f or t.max_sat_model_count < 1:
             return False
-        if t.double_sat_clause_count is not None and (
-            t.double_sat_clause_count != b.g or t.double_sat_model_count != 2
-        ):
+        if t.double_sat_clause_count != b.g or t.double_sat_model_count != 2:
             return False
         return True
 
 
 def _tightness(n: int) -> TightnessReport:
     max_sat = max_sat_construction(n)
-    if n < 2:
-        return TightnessReport(
-            len(max_sat.clauses), solve(max_sat).model_count, None, None
-        )
     # The max-sat formula is the double-sat one plus the 2^(n-1) clauses the
     # flipped witness falsifies, so its models come from the double-sat
     # bitmap and those clauses' bitmaps alone.

@@ -315,13 +315,12 @@ def report_text(report: AnalysisReport) -> str:
 
 
 def _width_table(n: int) -> list[str]:
-    rows = [("width", list(range(1, n + 1)))]
-    rows.append(("universe (m)", list(clause_distribution(n, Construction.ALL))))
-    rows.append(("max-sat (f)", list(clause_distribution(n, Construction.MAX_SAT))))
-    if n >= 2:
-        rows.append(
-            ("double-sat (g)", list(clause_distribution(n, Construction.DOUBLE_SAT)))
-        )
+    rows = [
+        ("width", list(range(1, n + 1))),
+        ("universe (m)", list(clause_distribution(n, Construction.ALL))),
+        ("max-sat (f)", list(clause_distribution(n, Construction.MAX_SAT))),
+        ("double-sat (g)", list(clause_distribution(n, Construction.DOUBLE_SAT))),
+    ]
     cell = max(len(str(v)) for _, values in rows for v in values)
     return [
         f"  {label:<15}" + "  ".join(f"{v:>{cell}}" for v in values)
@@ -353,10 +352,9 @@ def verification_text(vr: VerificationReport) -> str:
         f"  tightness      max_sat: {t.max_sat_clause_count} clauses,"
         f" {t.max_sat_model_count} model(s)"
     )
-    if t.double_sat_clause_count is not None:
-        lines.append(
-            f"                 double_sat: {t.double_sat_clause_count} clauses,"
-            f" {t.double_sat_model_count} model(s)"
-        )
+    lines.append(
+        f"                 double_sat: {t.double_sat_clause_count} clauses,"
+        f" {t.double_sat_model_count} model(s)"
+    )
     lines.append(f"  ok             {vr.ok}")
     return "\n".join(lines)

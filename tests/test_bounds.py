@@ -56,7 +56,7 @@ def test_removal_recurrences(n):
     assert t1.s == t.s + 2 ** (n - 1)
 
 
-@pytest.mark.parametrize("n", range(2, 31))
+@pytest.mark.parametrize("n", range(1, 31))
 def test_ordering_and_occurrence_identity(n):
     t = bounds_for(n)
     assert t.g < t.f < t.m
@@ -82,6 +82,7 @@ DISTRIBUTIONS = [
     (4, Construction.DOUBLE_SAT, (3, 15, 25, 14)),
     (5, Construction.DOUBLE_SAT, (4, 26, 64, 71, 30)),
     (6, Construction.DOUBLE_SAT, (5, 40, 130, 215, 181, 62)),
+    (1, Construction.DOUBLE_SAT, (0,)),
 ]
 
 
@@ -90,17 +91,12 @@ def test_known_distributions(n, construction, expected):
     assert clause_distribution(n, construction) == expected
 
 
-@pytest.mark.parametrize("n", range(2, 31))
+@pytest.mark.parametrize("n", range(1, 31))
 def test_distribution_sums(n):
     t = bounds_for(n)
     assert sum(clause_distribution(n, Construction.ALL)) == t.m
     assert sum(clause_distribution(n, Construction.MAX_SAT)) == t.f
     assert sum(clause_distribution(n, Construction.DOUBLE_SAT)) == t.g
-
-
-def test_double_sat_distribution_rejects_n1():
-    with pytest.raises(ValueError):
-        clause_distribution(1, Construction.DOUBLE_SAT)
 
 
 def test_classification_boundaries():

@@ -252,7 +252,7 @@ def test_usage_error_exits_64(capsys):
     [
         (("verify", "--n", "0", "--mode", "sample"), "n >= 1"),
         (("generate", "--construction", "all", "--n", "0"), "n >= 1"),
-        (("generate", "--construction", "double-sat", "--n", "1"), "n >= 2"),
+        (("generate", "--construction", "double-sat", "--n", "0"), "requires n >= 1, got 0"),
         (("verify", "--n", "3", "--mode", "sample", "--count", "-5"), "count must be >= 0"),
         (("verify", "--n", "13", "--mode", "sample"), "enumeration cap of n=12"),
         (("generate", "--construction", "all", "--n", "13"), "enumeration cap of n=12"),
@@ -326,6 +326,9 @@ def test_generate_double_sat(capsys):
     )
     assert code == 0
     assert out == "p cnf 2 3\n2 0\n-1 2 0\n1 2 0\n"
+    code, out, _ = run(capsys, "generate", "--construction", "double-sat", "--n", "1")
+    assert code == 0
+    assert out == "p cnf 1 0\n"
 
 
 def test_generate_all_and_max_sat(capsys):
@@ -588,6 +591,23 @@ def test_analyze_frees_the_raw_clauses_before_screening(tmp_path):
     code, peak_kb = map(int, proc.stdout.split())
     assert code == 0
     assert peak_kb < 57 * 1024
+
+
+@pytest.mark.parametrize("command", ["analyze", "normalize", "solve"])
+def test_out_of_memory_exits_65_with_one_line(tmp_path, command):
+    # Variable 2^35 needs a 4 GiB literal mask, past the 1 GiB address
+    # space the child is limited to.
+    resource = pytest.importorskip("resource")
+    path = write(tmp_path, "huge.cnf", "p cnf 34359738368 1\n34359738368 0\n")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+    proc = run_module(command, path, capture_output=True, preexec_fn=limit_address_space)
+    assert proc.returncode == 65
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: out of memory"]
 
 
 def assert_write_error(proc, errnum, suffix=""):

@@ -195,9 +195,10 @@ def test_double_sat_n5_histogram():
     assert width_histogram(f.clauses) == (4, 26, 64, 71, 30)
 
 
-def test_double_sat_rejects_n1():
-    with pytest.raises(ValueError):
-        double_sat_construction(1)
+def test_double_sat_n1_is_the_empty_formula():
+    f = double_sat_construction(1)
+    assert f.clauses == ()
+    assert solve(f).model_count == 2
 
 
 def test_double_sat_models_are_witness_pair():
@@ -226,7 +227,7 @@ def test_max_sat_count_is_witness_independent(n):
         assert int(satisfied.sum()) == f
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_double_sat_count_is_witness_and_flip_independent(n):
     pos, neg = _mask_arrays(n)
     full = (1 << n) - 1
@@ -251,7 +252,7 @@ def test_max_sat_is_maximal(n):
         assert not clause_satisfied(c, w)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_double_sat_is_maximal(n):
     w = all_true(n)
     f = double_sat_construction(n, w, flip_var=0)
@@ -413,10 +414,12 @@ def test_verify_rejects_empty_selection():
                       include_natural_range=False)
 
 
-def test_verify_n1_has_no_double_sat_tightness():
-    report = verify_bounds(1, VerifyMode.EXHAUSTIVE)
-    assert report.ok
-    assert report.tightness.double_sat_clause_count is None
+def test_verify_n1_double_sat_tightness_is_the_empty_formula():
+    for mode in VerifyMode:
+        report = verify_bounds(1, mode, sample_count=100)
+        assert report.ok
+        assert report.tightness.double_sat_clause_count == 0
+        assert report.tightness.double_sat_model_count == 2
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -424,15 +427,13 @@ def test_tightness_matches_the_oracle_on_both_constructions(n):
     # _tightness reads the max-sat models off the double-sat bitmap; the
     # oracle solves each construction whole.
     max_sat = max_sat_construction(n)
-    expected = TightnessReport(len(max_sat.clauses), solve(max_sat).model_count, None, None)
-    if n >= 2:
-        double_sat = double_sat_construction(n)
-        expected = dataclasses.replace(
-            expected,
-            double_sat_clause_count=len(double_sat.clauses),
-            double_sat_model_count=solve(double_sat).model_count,
-        )
-    assert _tightness(n) == expected
+    double_sat = double_sat_construction(n)
+    assert _tightness(n) == TightnessReport(
+        len(max_sat.clauses),
+        solve(max_sat).model_count,
+        len(double_sat.clauses),
+        solve(double_sat).model_count,
+    )
 
 
 @pytest.mark.parametrize(

@@ -258,29 +258,37 @@ class _Bitmaps(dict):
         return bm
 
 
-def _walk(row, size, full):
+def _walk(row, size, full, ceiling):
     # Every size-subset of row's indices, depth first in lexicographic order,
-    # as (formulas covered, model bitmap, clause indices).  A prefix whose AND
-    # is 0 stands for all its completions and is not descended: adding
-    # clauses only removes models.  Their count is summed and yielded once,
-    # after the leaves.  Iterative, since a path can be f(n) deep.
+    # as (formulas covered, model bitmap, clause indices).  Adding clauses
+    # only removes models, so a prefix whose AND keeps at most `ceiling`
+    # models stands for all its completions and is not descended.  Their
+    # count is summed and yielded once, after the leaves above the ceiling,
+    # with the bitmap of the most models a completion keeps: a prefix's c
+    # models, if at least `need` later clauses hold them all.  Exact for
+    # ceilings 0 and 1, where a completion keeps all c models or none.
+    # Iterative, since a path can be f(n) deep.
     m = len(row)
-    path, accs, i, pruned = [], [full], 0, 0
+    path, accs, i, pruned, most = [], [full], 0, 0, 0
     while True:
         j = len(path)
         if j == size:
             yield 1, accs[-1], tuple(path)
         elif i <= m - size + j:
             acc = accs[-1] & row[i]
-            if acc:
+            c = acc.bit_count()
+            if c > ceiling:
                 path.append(i)
                 accs.append(acc)
             else:
-                pruned += comb(m - i - 1, size - j - 1)
+                need = size - j - 1
+                pruned += comb(m - i - 1, need)
+                if c > most.bit_count() and sum(r & acc == acc for r in row[i + 1 :]) >= need:
+                    most = acc
             i += 1
             continue
         if not path:
-            yield pruned, 0, None
+            yield pruned, most, None
             return
         i = path.pop() + 1
         accs.pop()
@@ -289,16 +297,18 @@ def _walk(row, size, full):
 def _campaign(bitmaps, ranges, mode, sample_count, seed):
     # Yields (stratum, clause count, outcomes) in campaign order, each outcome
     # a (formulas covered, model bitmap, clause indices) triple.  Formulas
-    # with no model are only counted, each stratum's count yielded at the end
-    # of its walk or of the sample.  Exhaustive mode builds every bitmap up
-    # front; sampling builds them as it ANDs them.
+    # the walk finds at or under their stratum's model ceiling, and sampled
+    # ones with no model, are only counted, each count yielded at the end of
+    # its walk or of the sample.  The walk's count carries the most models
+    # one of its formulas keeps, which max_models_seen reads.  Exhaustive
+    # mode builds every bitmap up front; sampling builds them as it ANDs them.
     m = len(bitmaps.universe)
     full = (1 << (1 << bitmaps.n)) - 1
     if mode is VerifyMode.EXHAUSTIVE:
         row = [bitmaps[i] for i in range(m)]
         for name, lo, hi in ranges:
             for size in range(lo, hi + 1):
-                yield name, size, _walk(row, size, full)
+                yield name, size, _walk(row, size, full, _MODEL_CEILING[name])
         return
     # The ranges are contiguous and ascending.  A clause count is drawn by
     # rejection on getrandbits, reading what rng.randint(lo, hi) would, just
@@ -349,11 +359,13 @@ def verify_bounds(
 
     Exhaustive mode covers every formula of every clause count in the
     selected strata (natural range: g < M <= f, expecting at most one model;
-    beyond f: M > f, expecting none), a clause prefix with no common model
-    standing for all its completions, and refuses to start past ``budget``
-    formulas.  Sample mode draws ``sample_count`` seeded random formulas with
-    clause counts uniform over the selected strata.  The report also records
-    tightness: the extremal constructions hit f(n) and g(n) exactly.
+    beyond f: M > f, expecting none).  A clause prefix with no more common
+    models than its stratum allows stands for all its completions, and
+    counts toward ``max_models_seen`` with the most models one of them
+    keeps.  It refuses to start past ``budget`` formulas.  Sample mode draws
+    ``sample_count`` seeded random formulas with clause counts uniform over
+    the selected strata.  The report also records tightness: the extremal
+    constructions hit f(n) and g(n) exactly.
     Raises ValueError on a negative seed, in either mode.
     """
     _check_seed(seed)

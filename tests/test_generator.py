@@ -26,6 +26,7 @@ from pcnfrange import (
     verify_bounds,
 )
 from pcnfrange.generate import (
+    _MODEL_CEILING,
     EnumerationCapError,
     _Bitmaps,
     _draws,
@@ -476,8 +477,8 @@ def _lower_bounds(monkeypatch, n, f_by, g_by):
     [(1, 0, True), (2, 0, True), (1, 2, False), (2, 2, True)],
 )
 def test_verify_exhaustive_matches_brute_force(monkeypatch, n, lowered_by, natural):
-    # The walk prunes a prefix with no common model and counts its
-    # completions; the reference checks every formula on its own.
+    # The walk prunes a prefix at or under its stratum's model ceiling and
+    # counts its completions; the reference checks every formula on its own.
     table = _lower_bounds(monkeypatch, n, lowered_by, lowered_by)
     ranges = [("beyond_f", table.f + 1, table.m)]
     if natural:
@@ -487,29 +488,39 @@ def test_verify_exhaustive_matches_brute_force(monkeypatch, n, lowered_by, natur
     assert report.ok == (lowered_by == 0)
 
 
+def _clause_bitmaps(n):
+    bitmaps = _Bitmaps(enumerate_clauses(n), n)
+    return [bitmaps[i] for i in range(len(bitmaps.universe))]
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_walk_covers_every_formula_and_counts_the_model_free_ones_last(n):
-    # Every clause count, not just the strata's: the leaves come in strictly
-    # ascending order and one model-free count closes each walk.  Streamed,
-    # since at n = 3 and 10 clauses the walk lists 699,557 leaves.
-    universe = enumerate_clauses(n)
-    m = len(universe)
-    bitmaps = _Bitmaps(universe, n)
-    row = [bitmaps[i] for i in range(m)]
+@pytest.mark.parametrize(
+    "n, ceiling",
+    [pytest.param(n, 0, id=str(n)) for n in (1, 2, 3)]
+    + [pytest.param(n, 1, id=f"{n}-ceiling1") for n in (1, 2, 3)],
+)
+def test_walk_covers_every_formula_and_counts_the_model_free_ones_last(n, ceiling):
+    # Every clause count, not just the strata's: the leaves above the ceiling
+    # come in strictly ascending order and one count of the rest closes each
+    # walk.  Streamed, since at n = 3 and 10 clauses the ceiling-0 walk lists
+    # 699,557 leaves.
+    row = _clause_bitmaps(n)
+    m = len(row)
     for size in range(m + 1):
-        covered = model_free = 0
+        covered = closed = 0
         last = None
-        for count, acc, indices in _walk(row, size, (1 << (1 << n)) - 1):
-            assert not model_free, "an outcome follows the model-free count"
+        for count, acc, indices in _walk(row, size, (1 << (1 << n)) - 1, ceiling):
+            assert not closed, "an outcome follows the closing count"
             covered += count
-            if acc:
+            if indices is None:
+                assert acc.bit_count() <= ceiling
+                closed = 1
+            else:
                 assert count == 1 and len(indices) == size
+                assert acc.bit_count() > ceiling
                 assert last is None or indices > last
                 last = indices
-            else:
-                model_free = 1
-        assert model_free and covered == comb(m, size)
+        assert closed and covered == comb(m, size)
 
 
 def test_verify_exhaustive_beyond_lowered_f_finds_the_max_sat_formulas(monkeypatch):
@@ -528,7 +539,6 @@ def test_verify_exhaustive_beyond_lowered_f_finds_the_max_sat_formulas(monkeypat
     assert {(ce.num_clauses, ce.model_count) for ce in found} == {(19, 1)}
 
 
-@pytest.mark.slow
 def test_verify_exhaustive_natural_range_n3():
     report = verify_bounds(
         3, VerifyMode.EXHAUSTIVE, include_beyond_f=False, budget=11_000_000
@@ -538,6 +548,73 @@ def test_verify_exhaustive_natural_range_n3():
     assert natural.max_models_seen == 1
     assert natural.counterexamples == ()
     assert report.ok
+
+
+def test_natural_range_walk_n3_yields_only_its_closing_count():
+    # Every natural-range prefix is pruned at one model, so no leaf is
+    # listed, and each closing count keeps the one model of a max-sat formula.
+    row = _clause_bitmaps(3)
+    table = bounds_for(3)
+    for size in range(table.g + 1, table.f + 1):
+        ((count, acc, indices),) = _walk(row, size, (1 << 8) - 1, 1)
+        assert (count, acc.bit_count(), indices) == (comb(26, size), 1, None)
+
+
+def _zero_prune_strata(n, ranges):
+    # The tallies of the walk that prunes only model-free prefixes and lists
+    # every formula that keeps a model.
+    row = _clause_bitmaps(n)
+    out = []
+    for name, lo, hi in ranges:
+        checked = most = 0
+        found = []
+        for size in range(lo, hi + 1):
+            for count, acc, indices in _walk(row, size, (1 << (1 << n)) - 1, 0):
+                checked += count
+                models = acc.bit_count()
+                most = max(most, models)
+                if models > _MODEL_CEILING[name]:
+                    found.append((size, indices, models))
+        out.append((name, checked, most, found))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, f_by, g_by",
+    # A stratum that would start below zero clauses is left out, and so is
+    # n = 1 lowered by (3, 5), where both would.  The n = 3 cases with g
+    # lowered by 3 or more list 0.35-1.33M natural-range formulas and take
+    # seconds.
+    [
+        pytest.param(
+            n, f_by, g_by, marks=pytest.mark.slow if n == 3 and g_by >= 3 else ()
+        )
+        for n in (1, 2, 3)
+        for f_by, g_by in [(0, 0), (1, 1), (2, 2), (2, 3), (0, 4), (3, 5)]
+        if bounds_for(n).f - f_by >= -1
+    ],
+)
+def test_ceiling_walk_matches_the_zero_prune_walk(monkeypatch, n, f_by, g_by):
+    # The ceiling prune must report the same formulas checked, the same most
+    # models and the same counterexamples, in the same order, as listing
+    # every formula with a model does.
+    table = _lower_bounds(monkeypatch, n, f_by, g_by)
+    natural = table.g >= -1
+    ranges = [("beyond_f", table.f + 1, table.m)]
+    if natural:
+        ranges.insert(0, ("natural_range", table.g + 1, table.f))
+    report = verify_bounds(
+        n, VerifyMode.EXHAUSTIVE, include_natural_range=natural, budget=1 << 26
+    )
+    assert [
+        (
+            s.name,
+            s.formulas_checked,
+            s.max_models_seen,
+            [(ce.num_clauses, ce.clause_indices, ce.model_count) for ce in s.counterexamples],
+        )
+        for s in report.strata
+    ] == _zero_prune_strata(n, ranges)
 
 
 # Every counterexample of the seeded sample campaign below, as

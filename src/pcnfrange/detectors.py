@@ -100,7 +100,7 @@ class ClauseClassTable:
     def ceilings(self) -> dict[int, int]:
         counts = self.occupancy_counts
         width = len if _keyed_by_indices(counts) else int.bit_count
-        return {k: 1 << k for k in map(width, counts)}
+        return {k: 1 << k for k in dict.fromkeys(map(width, counts))}
 
 
 def _keyed_by_indices(counts: dict) -> bool:

@@ -28,9 +28,8 @@ class EmptyClauseError(ValueError):
 class NormalizationStats:
     """What the scan removed, plus an instrumentation counter.
 
-    ``literals_scanned`` counts literal visits; the scan touches each input
-    literal exactly once, so it always equals the input's total literal
-    count.
+    ``literals_scanned`` is the input's literal count, summed once over the
+    clauses' lengths; the scan reads each of those literals once.
     """
 
     duplicate_literals_removed: int
@@ -48,40 +47,38 @@ def normalize(raw: RawCnf) -> tuple[PcnfFormula, NormalizationStats]:
 
     Raises EmptyClauseError if the input contains an empty clause.
     """
-    n = raw.num_vars
-    dup_literals = 0
-    tautologies = 0
-    scanned = 0
+    n, clauses = raw.num_vars, raw.clauses
+    if not all(clauses):
+        raise EmptyClauseError("input contains an empty clause")
+    scanned = sum(map(len, clauses))
 
-    # One int pos << n | neg per clause, in one list per width.  Sorting
-    # puts repeats side by side, where comparing each int with the one
-    # before drops them.  A set would hash each int, and an int over 61 bits
-    # hashes as its value mod 2^61 - 1, which folds sparse clause masks onto
-    # few hash values.
+    # One int pos << n | neg per clause, in one list per width (its distinct
+    # literals).  Sorting puts repeats side by side, where comparing each int
+    # with the one before drops them.  A set would hash each int, and an int
+    # over 61 bits hashes as its value mod 2^61 - 1, which folds sparse
+    # clause masks onto few hash values.
     by_width: defaultdict[int, list[int]] = defaultdict(list)
-    for clause in raw.clauses:
-        if not clause:
-            raise EmptyClauseError("input contains an empty clause")
+    tautology_widths: list[int] = []
+    for clause in clauses:
         pos, neg = literal_masks(clause)
-        scanned += len(clause)
-        # Repeats collapsed in the masks: each literal beyond a mask bit's
-        # first is a duplicate.  Only now is the complement test meaningful.
         width = pos.bit_count() + neg.bit_count()
-        dup_literals += len(clause) - width
         if pos & neg:
-            tautologies += 1
-            continue
-        by_width[width].append(pos << n | neg)
+            tautology_widths.append(width)
+        else:
+            by_width[width].append(pos << n | neg)
 
+    # Each literal beyond its clause's distinct ones is a duplicate.
+    dup_literals = scanned - sum(tautology_widths)
     for width, keys in by_width.items():
+        dup_literals -= width * len(keys)
         keys.sort()
         by_width[width] = list(compress(keys, map(ne, keys, chain((None,), keys))))
     ordered = canonical_clauses(n, by_width)
-    dup_clauses = len(raw.clauses) - tautologies - len(ordered)
+    tautologies = len(tautology_widths)
     stats = NormalizationStats(
         duplicate_literals_removed=dup_literals,
         tautological_clauses_dropped=tautologies,
-        duplicate_clauses_dropped=dup_clauses,
+        duplicate_clauses_dropped=len(clauses) - tautologies - len(ordered),
         literals_scanned=scanned,
     )
     return PcnfFormula(raw.num_vars, ordered), stats

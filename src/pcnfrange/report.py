@@ -12,7 +12,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .bounds import BoundsTable, Construction, clause_distribution
 from .detectors import Reason, ScreenResult, Verdict, screen_all
@@ -36,10 +36,27 @@ def literal_name(index: int, negated: bool, n: int) -> str:
     return ("~" if negated else "") + var_name(index, n)
 
 
+class _Names(dict):
+    """One report's variable names, each built by `var_name` on first use,
+    so a padded universe never names its n variables up front."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __missing__(self, index: int) -> str:
+        name = self[index] = var_name(index, self.n)
+        return name
+
+
+def _key_namer(n: int) -> tuple[Callable[[Iterable[str]], str], Callable[[int], str]]:
+    """The join and the name lookup of one report's class keys: variable
+    names joined by "" while they are letters (n <= 26), by "," beyond."""
+    return ("" if n <= 26 else ",").join, _Names(n).__getitem__
+
+
 def class_key_name(key: tuple[int, ...], n: int) -> str:
-    if n <= 26:
-        return "".join([chr(ord("a") + v) for v in key])
-    return ",".join([str(v + 1) for v in key])
+    join, name = _key_namer(n)
+    return join(map(name, key))
 
 
 def render_reason(reason: Reason, n: int) -> str:
@@ -153,8 +170,8 @@ def analyze(
 def report_to_dict(report: AnalysisReport) -> dict:
     """The stable report schema; every numeric field an exact int."""
     screen = report.screen
-    num_vars = screen.num_vars
     table = screen.class_table
+    join, name = _key_namer(screen.num_vars)
     oracle_doc: dict = {"run": report.oracle is not None}
     if report.oracle is not None:
         oracle_doc["model_count"] = report.oracle.model_count
@@ -168,10 +185,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "corollary": screen.occurrence.outcome.value,
             "clause_class": {
                 "verdict": screen.clause_class.outcome.value,
-                "C": {
-                    class_key_name(key, num_vars): count
-                    for key, count in table.counts.items()
-                },
+                "C": {join(map(name, key)): count for key, count in table.counts.items()},
                 "U": {str(width): cap for width, cap in table.ceilings.items()},
             },
         },

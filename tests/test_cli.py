@@ -1,5 +1,6 @@
 import errno
 import gc
+import hashlib
 import io
 import json
 import os
@@ -706,3 +707,65 @@ def test_parser_built_once_per_process(capsys, monkeypatch, fresh_parser):
         assert run(capsys, "bounds", "2")[0] == 0
         assert run(capsys, "analyze", str(GOLDEN_CNF))[0] == 20
     assert len(built) == 1
+
+
+def _mixed_cnf(n: int, seed: int, num_clauses: int = 3_000) -> str:
+    """Seeded DIMACS text at ``n`` variables: clauses of width 1 to 3, a
+    tenth of them over variables 1-3 and n (so some classes fill), with
+    repeated clauses, doubled literals and tautologies mixed in."""
+    rng = random.Random(seed)
+    clauses: list[list[int]] = []
+    while len(clauses) < num_clauses:
+        roll = rng.random()
+        if clauses and roll < 0.1:
+            clause = rng.choice(clauses)[:]
+            rng.shuffle(clause)
+        else:
+            pool = [1, 2, 3, n] if roll < 0.2 else range(1, n + 1)
+            width = rng.randint(1, 3)
+            clause = [v if rng.getrandbits(1) else -v for v in rng.sample(pool, width)]
+            if rng.random() < 0.05:
+                clause.insert(rng.randint(0, width), rng.choice(clause))
+            if rng.random() < 0.05:
+                clause.insert(rng.randint(0, width), -rng.choice(clause))
+        clauses.append(clause)
+    body = "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+    return f"p cnf {n} {num_clauses}\n{body}"
+
+
+# sha256 of `analyze`'s stdout, and its exit code, for each formula and
+# flag set: a change to naming, normalization or the report writer that
+# alters one byte shows here.
+ANALYZE_BYTES = {
+    (27, ()): (
+        "9bd1eed621927ac8bce0a0fb19a5886f5d8635af07fdcf98b2341964eaea3edd",
+        20,
+    ),
+    (27, ("--early-exit",)): (
+        "1619d58670c8121378c51d21231c7612b421628afa0aa6c0565666074348a6b5",
+        20,
+    ),
+    (62, ()): (
+        "b89bd868c8025cb2858c573fb65fe2093e1ff1b4d5ffbaf860da70bfa9b73b27",
+        20,
+    ),
+    (62, ("--early-exit",)): (
+        "ba3b665b180efc1908d52d8893ace254b0f358d54dcfccc0e9d821e4975c07c5",
+        20,
+    ),
+    (1000, ()): (
+        "35a697069421b47a9f38ba20434789d2952ed56ffb6d3a8d4c1325d11fa93b0b",
+        20,
+    ),
+    (1000, ("--early-exit",)): (
+        "847b4b031b2854f741262fef1905981b7e0c43b66a03af98d2371c433e710fcc",
+        20,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, flags", list(ANALYZE_BYTES), ids=lambda v: str(v))
+def test_analyze_output_is_byte_identical(capsys, tmp_path, n, flags):
+    path = write(tmp_path, "mixed.cnf", _mixed_cnf(n, seed=n))
+    code, out, _ = run(capsys, "analyze", path, *flags)
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == ANALYZE_BYTES[n, flags]

@@ -39,9 +39,22 @@ def test_three_rules_together():
     assert stats.literals_scanned == 7
 
 
+def test_repeated_literal_and_its_complement_in_one_clause():
+    f, stats = normalize(RawCnf(1, ((1, 1, -1),)))
+    assert f.clauses == ()
+    assert stats.duplicate_literals_removed == 1
+    assert stats.tautological_clauses_dropped == 1
+    assert stats.literals_scanned == 3
+
+
 def test_empty_clause_rejected():
     with pytest.raises(EmptyClauseError):
         normalize(RawCnf(2, ((1,), ())))
+
+
+def test_empty_clause_rejected_after_every_other_clause():
+    with pytest.raises(EmptyClauseError):
+        normalize(RawCnf(2, ((1,), (2, 2, -2), (-1, 2), ())))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -141,9 +154,9 @@ def test_renormalization_is_identity(n, data):
 @st.composite
 def messy_raw_cnfs(draw):
     """Raw CNF whose clauses repeat in shuffled literal order, double a
-    literal or join a literal's complement.  At n = 62 and 1000 the clause
-    masks pass the 61 bits an int hashes to itself; variables 1 and 62 give
-    masks 2^0 and 2^61, which hash alike."""
+    literal, join a literal's complement, or both.  At n = 62 and 1000 the
+    clause masks pass the 61 bits an int hashes to itself; variables 1 and
+    62 give masks 2^0 and 2^61, which hash alike."""
     n = draw(st.sampled_from([3, 61, 62, 1000]))
     edges = sorted({1, 2, 61, 62, n} & set(range(1, n + 1)))
     variables = st.one_of(st.sampled_from(edges), st.integers(1, n))
@@ -152,8 +165,7 @@ def messy_raw_cnfs(draw):
     clauses = []
     for _ in range(draw(st.integers(0, 24))):
         clause = list(draw(st.permutations(draw(st.sampled_from(base)))))
-        edit = draw(st.sampled_from(["none", "double", "complement"]))
-        if edit != "none":
+        for edit in draw(st.lists(st.sampled_from(["double", "complement"]), unique=True)):
             lit = draw(st.sampled_from(clause))
             clause.insert(draw(st.integers(0, len(clause))), lit if edit == "double" else -lit)
         clauses.append(tuple(clause))

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from dataclasses import replace
 
@@ -10,14 +11,17 @@ from pcnfrange import (
     AnalysisVerdict,
     BoundsTable,
     PcnfFormula,
+    RawCnf,
     VerifyMode,
     analyze,
     build_report,
+    normalize,
     report_to_dict,
     screen_all,
     to_json,
     verify_bounds,
 )
+from pcnfrange import report as report_module
 from pcnfrange.report import (
     bounds_text,
     class_key_name,
@@ -175,6 +179,32 @@ def test_class_key_names_join_variable_names():
     for key, n in [((0,), 1), ((0, 2, 25), 26), ((0,), 27), ((29, 39), 40), ((), 5)]:
         sep = "" if n <= 26 else ","
         assert class_key_name(key, n) == sep.join(var_name(v, n) for v in key)
+
+
+@pytest.mark.parametrize("n", [3, 26, 27, 61, 62, 1000])
+def test_class_keys_are_named_once_per_variable(monkeypatch, n):
+    # Seeded clauses of width 1 to 3; at n = 1000 variables 1-20 carry a
+    # third of them, so most names recur across classes.
+    rng = random.Random(n)
+    pools = [range(1, n + 1), range(1, min(n, 20) + 1)]
+    clauses = tuple(
+        tuple(v if rng.getrandbits(1) else -v for v in rng.sample(pool, rng.randint(1, 3)))
+        for pool in rng.choices(pools, weights=[2, 1], k=300)
+    )
+    formula, _ = normalize(RawCnf(n, clauses))
+    report = analyze(formula, oracle_max_n=0)
+    named = []
+
+    def counting_var_name(index, num_vars):
+        named.append(index)
+        return var_name(index, num_vars)
+
+    monkeypatch.setattr(report_module, "var_name", counting_var_name)
+    classes = report_to_dict(report)["detectors"]["clause_class"]["C"]
+    monkeypatch.undo()
+    counts = report.screen.class_table.counts
+    assert list(classes.items()) == [(class_key_name(k, n), c) for k, c in counts.items()]
+    assert sorted(named) == list(formula.occurring_variables())
 
 
 def test_render_reasons():
